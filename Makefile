@@ -34,14 +34,15 @@ bench-build:
 	cargo bench --no-run
 
 # Smoke-sized run of the custom-harness benches: every bit-identity
-# assertion executes (including the PR-7 executor scaling sweep and the
-# PR-8 kriging fill), but the workloads are small and the committed
-# artifacts are left alone.
+# assertion executes (including the PR-7 executor scaling sweep, the
+# PR-8 kriging fill, and the batched ≡ per-voxel kNN lattice fill), but
+# the workloads are small and the committed artifacts are left alone.
 bench-check:
 	AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench train_select
 	AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench sim_campaign
 	AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench scaling
 	AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench kriging_fill
+	AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench rem_lattice
 
 # Serving-layer gate (PR 6): the aerorem-serve unit tests under both
 # execution-policy arms, plus a smoke-sized run of the serve bench —

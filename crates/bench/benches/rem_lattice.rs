@@ -7,6 +7,8 @@
 //! `FeatureMatrix`/`predict_batch` path, under both execution policies.
 //! It asserts the two paths produce **bit-identical** grids, then writes
 //! the timing table to `BENCH_2.json` at the repository root.
+//! `AEROREM_BENCH_SMOKE=1` coarsens the lattice and runs one repetition,
+//! keeps every bit-identity assertion, and skips the artifact write.
 //!
 //! Custom harness (`harness = false`): a fixed-repetition timer is enough
 //! for second-scale lattice fills, and we want a machine-readable JSON
@@ -14,6 +16,7 @@
 
 use std::time::Instant;
 
+use aerorem_bench::bench3;
 use aerorem_core::exec::ExecPolicy;
 use aerorem_core::features::{preprocess, FeatureLayout, PreprocessConfig};
 use aerorem_core::models::ModelKind;
@@ -27,17 +30,32 @@ use aerorem_simkit::SimTime;
 use aerorem_spatial::Aabb;
 use aerorem_uav::UavId;
 
-/// Lattice cell edge length: fine-grained, paper-style sub-25 cm mapping.
-const RESOLUTION_M: f64 = 0.12;
-/// MACs in the synthetic world; with their channels this pushes the
-/// feature dimension past the KD-tree cutoff, so kNN exercises the
-/// flat brute-force backend exactly as it does on the paper's ~80-MAC
-/// feature space.
+/// MACs in the synthetic world. With their channels the rows have 14
+/// columns, of which only the 3 coordinates take more than two values, so
+/// kNN searches its grouped index (one KD-tree per MAC and channel) exactly
+/// as it does on the paper's ~80-MAC feature space.
 const N_MACS: u32 = 8;
 /// Samples per MAC (total ≈ the paper's 2565 retained samples).
 const SAMPLES_PER_MAC: usize = 300;
-/// Timed repetitions per configuration (best-of to shed scheduler noise).
-const REPS: usize = 3;
+
+struct Sizes {
+    /// Lattice cell edge length.
+    resolution_m: f64,
+    /// Timed repetitions per configuration (best-of to shed scheduler
+    /// noise).
+    reps: usize,
+}
+
+/// Fine-grained, paper-style sub-25 cm mapping.
+const FULL: Sizes = Sizes {
+    resolution_m: 0.12,
+    reps: 3,
+};
+
+const SMOKE: Sizes = Sizes {
+    resolution_m: 0.4,
+    reps: 1,
+};
 
 fn synthetic_world() -> (SampleSet, Aabb) {
     let volume = Aabb::paper_volume();
@@ -76,9 +94,10 @@ struct Measurement {
     voxels_per_s: f64,
 }
 
-/// Best-of-`REPS` wall time for one lattice fill; returns the grid of the
+/// Best-of-`reps` wall time for one lattice fill; returns the grid of the
 /// last repetition for the bit-identity check.
 fn time_fill(
+    reps: usize,
     fill: impl Fn() -> RemGrid,
     model: &'static str,
     mode: &'static str,
@@ -86,7 +105,7 @@ fn time_fill(
 ) -> (Measurement, RemGrid) {
     let mut best = f64::INFINITY;
     let mut grid = fill(); // warm-up (also primes thread pools)
-    for _ in 0..REPS {
+    for _ in 0..reps {
         let start = Instant::now();
         grid = fill();
         best = best.min(start.elapsed().as_secs_f64());
@@ -111,6 +130,7 @@ fn time_fill(
 /// Runs the per-voxel/batched × serial/parallel matrix for one fitted
 /// model, asserting every combination produces the identical grid.
 fn bench_model(
+    sizes: &Sizes,
     name: &'static str,
     model: &dyn Regressor,
     layout: &FeatureLayout,
@@ -122,8 +142,10 @@ fn bench_model(
     for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
         let exec = policy.label();
         let (m, grid) = time_fill(
+            sizes.reps,
             || {
-                RemGrid::generate_per_voxel_with(model, layout, volume, RESOLUTION_M, mac, policy)
+                let res = sizes.resolution_m;
+                RemGrid::generate_per_voxel_with(model, layout, volume, res, mac, policy)
                     .expect("per-voxel fill")
             },
             name,
@@ -133,8 +155,9 @@ fn bench_model(
         out.push(m);
         let reference = reference.get_or_insert(grid);
         let (m, batched) = time_fill(
+            sizes.reps,
             || {
-                RemGrid::generate_with(model, layout, volume, RESOLUTION_M, mac, policy)
+                RemGrid::generate_with(model, layout, volume, sizes.resolution_m, mac, policy)
                     .expect("batched fill")
             },
             name,
@@ -158,6 +181,7 @@ fn json_escape_free(s: &str) -> &str {
 
 fn write_json(
     path: &str,
+    resolution_m: f64,
     voxels: usize,
     train_samples: usize,
     feature_dim: usize,
@@ -189,7 +213,7 @@ fn write_json(
     };
     let json = format!(
         "{{\n  \"bench\": \"rem_lattice\",\n  \"volume_m\": [3.74, 3.2, 2.1],\n  \
-         \"resolution_m\": {RESOLUTION_M},\n  \"voxels\": {voxels},\n  \
+         \"resolution_m\": {resolution_m},\n  \"voxels\": {voxels},\n  \
          \"train_samples\": {train_samples},\n  \"feature_dim\": {feature_dim},\n  \
          \"bit_identical\": true,\n  \"results\": [\n{rows}  ],\n  \
          \"speedup_batched_vs_per_voxel\": {{\n    \
@@ -206,6 +230,8 @@ fn write_json(
 
 fn main() {
     // `cargo bench` passes harness flags; a custom harness ignores them.
+    let smoke = bench3::smoke();
+    let sizes = if smoke { &SMOKE } else { &FULL };
     let (set, volume) = synthetic_world();
     let (data, layout, report) = preprocess(&set, &PreprocessConfig::paper()).expect("preprocess");
     eprintln!(
@@ -227,21 +253,34 @@ fn main() {
 
     let mac = MacAddress::from_index(1);
     let mut results = Vec::new();
-    bench_model("knn_scaled16", knn.as_ref(), &layout, volume, mac, &mut results);
-    bench_model("mlp", &mlp, &layout, volume, mac, &mut results);
+    bench_model(
+        sizes,
+        "knn_scaled16",
+        knn.as_ref(),
+        &layout,
+        volume,
+        mac,
+        &mut results,
+    );
+    bench_model(sizes, "mlp", &mlp, &layout, volume, mac, &mut results);
 
     let voxels = RemGrid::generate_with(
         knn.as_ref(),
         &layout,
         volume,
-        RESOLUTION_M,
+        sizes.resolution_m,
         mac,
         ExecPolicy::Serial,
     )
     .expect("voxel count")
     .len();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2.json");
-    write_json(path, voxels, report.retained_samples, layout.dim(), &results);
+    if smoke {
+        eprintln!("smoke run: skipping BENCH_2.json write");
+    } else {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2.json");
+        let (samples, dim) = (report.retained_samples, layout.dim());
+        write_json(path, sizes.resolution_m, voxels, samples, dim, &results);
+    }
 
     for model in ["knn_scaled16", "mlp"] {
         for exec in ["serial", "parallel"] {

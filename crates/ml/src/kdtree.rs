@@ -1,18 +1,25 @@
 //! A flattened, leaf-based KD-tree for k-nearest-neighbour queries in low
 //! dimensions.
 //!
-//! The paper's kNN feature space mixes 3 spatial coordinates with ~80
-//! one-hot dimensions, where KD-trees degrade to brute force — so
-//! [`crate::knn::KnnRegressor`] picks its backend by dimensionality, and the
-//! `knn_backends` bench quantifies the crossover. This tree is exact: it
-//! returns the same neighbours as brute force, including on exact distance
-//! ties, because every comparison in the search uses the full
-//! `(squared distance, index)` total order.
+//! The tree is exact: it returns the same neighbours as brute force,
+//! including on exact distance ties, because every comparison in the
+//! search uses the `(distance, index)` total order that
+//! [`brute_force_nearest`] sorts by, where the distance is the square root
+//! of [`sq_euclidean`]. Ranking on the squared distance instead would not
+//! be the same order: distinct squared distances can share a square root,
+//! and brute force then prefers the lower index.
+//!
+//! The same search also serves the grouped index of
+//! [`crate::knn::KnnRegressor`], which keeps one tree per one-hot key over
+//! the paper's coordinate columns: a `GroupProbe` adds the group's exact
+//! key-column offset to every bound and scores each reached point on its
+//! full feature row, so that index ranks exactly as a brute-force scan of
+//! the full rows does.
 //!
 //! # Layout
 //!
 //! The tree is **leaf-based**: points are permuted into *slot order* so
-//! every leaf owns a contiguous slot range of up to [`LEAF_SIZE`] points,
+//! every leaf owns a contiguous slot range of up to `LEAF_SIZE` points,
 //! and internal nodes store only a split axis and coordinate. The permuted
 //! points live **dimension-major** (structure-of-arrays): `cols[d * n +
 //! slot]` is coordinate `d` of the point in `slot`, so a leaf scan streams
@@ -40,10 +47,33 @@ const NO_NODE: u32 = u32::MAX;
 /// query still prunes most of the tree.
 const LEAF_SIZE: usize = 16;
 
-/// A (squared-distance, index) candidate in the bounded max-heap.
+/// Factor applied to every pruning lower bound before it is compared with
+/// the current k-th distance.
+///
+/// The plain tree needs none: its bound `fl(delta²)` is one of the terms
+/// the squared distance sums, and a floating-point sum of non-negative
+/// terms is never below any of them. A [`GroupProbe`] search adds a
+/// group's key offset `O`, summed by [`sq_euclidean`] over the key columns,
+/// to a tree-column part `T` (a `delta²` or a leaf point's tree distance),
+/// while the exact score `K` sums the same per-column terms over the full
+/// row in another order. With `u = 2⁻⁵³` and `n` columns, each recursive
+/// sum is within a factor `1 ± n·u` of the exact sum of its terms, and
+/// rounding `T + O` and the product with this factor cost `1 + u` each,
+/// so `fl(fl(T + O) · SLACK) <= K` whenever `SLACK <= 1 - (2n + 3)·u`.
+/// `1 - 2⁻⁴⁰` satisfies that for up to [`MAX_PROBE_DIM`] columns, and
+/// costs a relative `2⁻⁴⁰` of pruning. Subnormal sums are exact, and an
+/// underflowing product only lowers the bound, so both stay safe.
+const BOUND_SLACK: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
+
+/// Widest full row a [`GroupProbe`] may score: the bound behind
+/// [`BOUND_SLACK`] holds up to this many columns.
+pub(crate) const MAX_PROBE_DIM: usize = 1 << 11;
+
+/// A `(distance, index)` candidate in the bounded max-heap, ordered
+/// exactly as brute force ranks rows: by `√K`, then by index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Candidate {
-    dist2: f64,
+    dist: f64,
     index: usize,
 }
 
@@ -57,11 +87,27 @@ impl PartialOrd for Candidate {
 
 impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.dist2
-            .partial_cmp(&other.dist2)
+        self.dist
+            .partial_cmp(&other.dist)
             .expect("distances are finite")
             .then_with(|| self.index.cmp(&other.index))
     }
+}
+
+/// How a grouped index lends one group's tree to a search: every point of
+/// the tree shares `offset`, the exact squared distance over the columns
+/// the tree leaves out, and a point that may still rank is scored on its
+/// full row and reported under its caller row id.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroupProbe<'a> {
+    /// [`sq_euclidean`] between the query's and the group's key columns.
+    pub offset: f64,
+    /// Caller row id of each tree point, by tree point index.
+    pub rows: &'a [u32],
+    /// The caller's full rows, row-major, `query.len()` values each.
+    pub data: &'a [f64],
+    /// The full query row.
+    pub query: &'a [f64],
 }
 
 /// One arena node. Internal nodes split on `axis` at coordinate `split`
@@ -82,6 +128,44 @@ struct Node {
 pub struct NeighborScratch {
     heap: BinaryHeap<Candidate>,
     dists: Vec<f64>,
+}
+
+impl NeighborScratch {
+    /// Empties the candidate heap for a new query.
+    pub(crate) fn clear(&mut self) {
+        self.heap.clear();
+    }
+
+    /// Whether a point whose squared distance is at least `lower`, up to
+    /// the rounding [`BOUND_SLACK`] absorbs, could still enter the `k`
+    /// best. Non-strict: a point tying the k-th distance can still win on
+    /// its index.
+    pub(crate) fn may_enter(&self, k: usize, lower: f64) -> bool {
+        self.heap.len() < k
+            || self
+                .heap
+                .peek()
+                .is_none_or(|worst| (lower * BOUND_SLACK).sqrt() <= worst.dist)
+    }
+
+    /// Keeps `cand` if it ranks among the `k` best seen so far.
+    fn offer(&mut self, k: usize, cand: Candidate) {
+        if self.heap.len() < k {
+            self.heap.push(cand);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if cand < *worst {
+                *worst = cand;
+            }
+        }
+    }
+
+    /// Replaces the contents of `out` with the kept candidates as
+    /// `(index, distance)` pairs, nearest first, and empties the heap.
+    pub(crate) fn drain_sorted_into(&mut self, out: &mut Vec<(usize, f64)>) {
+        out.clear();
+        out.extend(self.heap.drain().map(|c| (c.index, c.dist)));
+        out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
+    }
 }
 
 /// An exact KD-tree over owned points in a flat arena.
@@ -217,51 +301,79 @@ impl KdTree {
         out: &mut Vec<(usize, f64)>,
     ) {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        out.clear();
-        if k == 0 {
-            return;
+        scratch.clear();
+        if k > 0 {
+            self.search(self.root, query, k, None, scratch);
         }
-        scratch.heap.clear();
-        self.search(self.root, query, k, &mut scratch.heap, &mut scratch.dists);
-        out.extend(scratch.heap.drain().map(|c| (c.index, c.dist2.sqrt())));
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
+        scratch.drain_sorted_into(out);
     }
 
+    /// Offers this tree's points to `scratch`'s `k` best as `probe`
+    /// describes them: `query` holds the query's values in the tree's
+    /// columns, bounds carry `probe.offset`, and a point that may still
+    /// rank is scored by [`sq_euclidean`] over its full row. Scratch is
+    /// neither cleared nor drained, so a caller can search several groups
+    /// into one candidate set.
+    pub(crate) fn search_group(
+        &self,
+        query: &[f64],
+        k: usize,
+        probe: &GroupProbe<'_>,
+        scratch: &mut NeighborScratch,
+    ) {
+        debug_assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        debug_assert!(probe.query.len() <= MAX_PROBE_DIM, "see BOUND_SLACK");
+        self.search(self.root, query, k, Some(probe), scratch);
+    }
+
+    /// The one search routine. Without a probe a point's score is its
+    /// leaf distance and its index is its insertion index; with one, see
+    /// [`KdTree::search_group`].
     fn search(
         &self,
         node: u32,
         query: &[f64],
         k: usize,
-        heap: &mut BinaryHeap<Candidate>,
-        dists: &mut Vec<f64>,
+        probe: Option<&GroupProbe<'_>>,
+        scratch: &mut NeighborScratch,
     ) {
         if node == NO_NODE {
             return;
         }
+        let offset = probe.map_or(0.0, |p| p.offset);
         let n = self.nodes[node as usize];
         if n.axis == NO_NODE {
             // Leaf: one SoA block scan over the slot range, then tie-exact
             // heap maintenance. The kernel output is bit-identical per point
             // to the scalar sq_euclidean all other paths use.
             let (lo, hi) = (n.left as usize, n.right as usize);
+            let mut dists = std::mem::take(&mut scratch.dists);
             dists.resize(hi - lo, 0.0);
-            sq_euclidean_cols_into(&self.cols, self.len(), query, lo, hi, dists);
-            for (jj, &dist2) in dists.iter().enumerate() {
-                let cand = Candidate {
-                    dist2,
-                    index: self.slot_to_index[lo + jj] as usize,
-                };
-                if heap.len() < k {
-                    heap.push(cand);
-                } else if let Some(&worst) = heap.peek() {
-                    // Full (dist2, index) order: on exact distance ties the
-                    // lower index wins, matching the brute-force truncation.
-                    if cand < worst {
-                        heap.pop();
-                        heap.push(cand);
+            sq_euclidean_cols_into(&self.cols, self.len(), query, lo, hi, &mut dists);
+            for (&point, &dist2) in self.slot_to_index[lo..hi].iter().zip(&dists) {
+                let (dist2, index) = match probe {
+                    None => (dist2, point as usize),
+                    Some(p) => {
+                        if !scratch.may_enter(k, dist2 + p.offset) {
+                            continue;
+                        }
+                        let row = p.rows[point as usize] as usize;
+                        let dim = p.query.len();
+                        (
+                            sq_euclidean(&p.data[row * dim..(row + 1) * dim], p.query),
+                            row,
+                        )
                     }
-                }
+                };
+                scratch.offer(
+                    k,
+                    Candidate {
+                        dist: dist2.sqrt(),
+                        index,
+                    },
+                );
             }
+            scratch.dists = dists;
             return;
         }
         let delta = query[n.axis as usize] - n.split;
@@ -270,15 +382,12 @@ impl KdTree {
         } else {
             (n.right, n.left)
         };
-        self.search(near, query, k, heap, dists);
+        self.search(near, query, k, probe, scratch);
         // Visit the far side unless every point there is provably worse than
-        // the current worst candidate. `delta²` lower-bounds any far-side
-        // distance, and the comparison is non-strict: at exact equality a
-        // far-side point could tie the worst distance with a smaller index,
-        // which the (dist2, index) order must still admit.
-        let worst = heap.peek().map_or(f64::INFINITY, |c| c.dist2);
-        if heap.len() < k || delta * delta <= worst {
-            self.search(far, query, k, heap, dists);
+        // the current worst candidate: `delta²` is one of the terms of any
+        // far-side distance, so it (plus the offset) bounds it from below.
+        if scratch.may_enter(k, delta * delta + offset) {
+            self.search(far, query, k, probe, scratch);
         }
     }
 }
@@ -372,7 +481,8 @@ pub fn brute_force_nearest(points: &[Vec<f64>], query: &[f64], k: usize) -> Vec<
 
 /// Brute-force exact k-nearest-neighbour over flat row-major points: full
 /// sort of all `(index, distance)` pairs by `(distance, index)`, truncated to
-/// `k`. The per-item brute-force backend.
+/// `k`. The ranking every kNN backend reproduces bit for bit, and the
+/// oracle the tests compare them against.
 pub fn brute_force_nearest_flat(
     data: &[f64],
     dim: usize,
@@ -540,6 +650,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn square_root_ties_break_by_index_like_brute_force() {
+        // The two squared distances differ in their last bit but share a
+        // square root; brute force ranks on that root and so prefers the
+        // lower index, where ranking on the squared distance picks row 1.
+        let points = vec![vec![1.0000003, 0.5000000000000001], vec![1.0000003, 0.5]];
+        let (k0, k1) = (
+            sq_euclidean(&points[0], &[0.0, 0.0]),
+            sq_euclidean(&points[1], &[0.0, 0.0]),
+        );
+        assert!(k0 > k1 && k0.sqrt() == k1.sqrt());
+        let want = brute_force_nearest(&points, &[0.0, 0.0], 1);
+        assert_eq!(want, vec![(0, 1.1180342570780601)]);
+        assert_eq!(KdTree::build(points).unwrap().nearest(&[0.0, 0.0], 1), want);
     }
 
     #[test]

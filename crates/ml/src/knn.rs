@@ -8,13 +8,33 @@
 //! of those knobs exist here; the ×3 trick is the
 //! [`KnnRegressor::with_feature_scaling`] hook.
 //!
-//! The fitted training set is stored exactly once, as flat row-major
-//! storage: the arena [`KdTree`] owns it on the tree backend, and the
-//! brute-force backend keeps the same flat layout directly — there is no
-//! `Vec<Vec<f64>>` copy alongside the tree.
+//! # Backends
+//!
+//! The paper's rows are `[x, y, z | one-hot MAC | one-hot channel]`: 60 to
+//! 80 columns, of which only the coordinates take more than two values.
+//! At fit time a column is a **key** column when every training value is
+//! 0 or one shared value (a one-hot column, scaled or not, or a constant
+//! one) and a **tree** column otherwise. A Euclidean fit with 1 to
+//! `KDTREE_MAX_DIM` (8) tree columns builds the grouped index: rows with the
+//! same key values form a group, and each group gets a [`KdTree`] over its
+//! tree columns. A query visits groups in ascending key offset — the
+//! squared distance between its key columns and the group's, which every
+//! row of the group shares — and stops at the first group whose offset
+//! cannot beat its k-th neighbour. Any other fit scans its rows
+//! exhaustively.
+//!
+//! Both backends rank rows by `(√K, index)` with `K` the [`sq_euclidean`]
+//! of the full scaled rows, exactly as
+//! [`brute_force_nearest_flat`](crate::kdtree::brute_force_nearest_flat) does:
+//! the index only skips rows it has proved cannot rank (see
+//! [`crate::kdtree`]), so every prediction is bit-identical to a
+//! brute-force scan. The fitted training set is stored exactly once, as
+//! flat row-major storage, with the per-group trees holding only the tree
+//! columns.
 
 use crate::kdtree::{
-    brute_force_nearest_flat, brute_force_topk_into, top_k_from_candidates, KdTree, NeighborScratch,
+    brute_force_topk_into, top_k_from_candidates, GroupProbe, KdTree, NeighborScratch,
+    MAX_PROBE_DIM,
 };
 use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
 use aerorem_numerics::kernels::{sq_euclidean, taxicab};
@@ -29,21 +49,174 @@ pub enum Weighting {
     Distance,
 }
 
-/// Above this dimensionality the KD-tree backend loses to brute force and
-/// the regressor switches automatically (see the `knn_backends` bench).
+/// Most tree columns the grouped index accepts; a fit with more scans its
+/// rows instead, since a KD-tree prunes little above this dimension (see
+/// the `knn_backends` bench).
 const KDTREE_MAX_DIM: usize = 8;
 
 /// Fitted neighbour-search backend. Either variant is the sole owner of the
 /// (scaled) training features, in flat row-major form.
 #[derive(Debug, Clone)]
 enum Fitted {
-    /// Arena KD-tree for low-dimensional Euclidean search; owns the points.
-    Tree(KdTree),
+    /// Grouped index for Euclidean fits with few tree columns.
+    Index(GroupedIndex),
     /// Flat row-major training rows scanned exhaustively.
     Brute {
         /// `rows × dim` scaled feature values.
         data: Vec<f64>,
     },
+}
+
+impl Fitted {
+    /// The grouped index when the Euclidean training set splits into 1 to
+    /// [`KDTREE_MAX_DIM`] tree columns plus key columns, brute force
+    /// otherwise.
+    fn euclidean(data: Vec<f64>, dim: usize) -> Fitted {
+        // One row-major pass: column c is a key column while every value
+        // seen is 0 or the first non-zero value seen.
+        let mut shared: Vec<Option<f64>> = vec![None; dim];
+        let mut is_key = vec![true; dim];
+        for row in data.chunks_exact(dim) {
+            for ((&v, first), key) in row.iter().zip(&mut shared).zip(&mut is_key) {
+                if v != 0.0 && *first.get_or_insert(v) != v {
+                    *key = false;
+                }
+            }
+        }
+        let (key_cols, tree_cols): (Vec<usize>, Vec<usize>) = (0..dim).partition(|&c| is_key[c]);
+        let rows = data.len() / dim;
+        if tree_cols.is_empty()
+            || tree_cols.len() > KDTREE_MAX_DIM
+            || dim > MAX_PROBE_DIM
+            || rows >= u32::MAX as usize
+        {
+            return Fitted::Brute { data };
+        }
+        Fitted::Index(GroupedIndex::build(data, dim, key_cols, tree_cols))
+    }
+}
+
+/// The grouped index (see the module docs): full rows for the exact
+/// score, and one KD-tree per distinct key over the tree columns.
+#[derive(Debug, Clone)]
+struct GroupedIndex {
+    /// `rows × dim` scaled feature values.
+    data: Vec<f64>,
+    key_cols: Vec<usize>,
+    tree_cols: Vec<usize>,
+    groups: Vec<Group>,
+}
+
+/// The training rows sharing one key.
+#[derive(Debug, Clone)]
+struct Group {
+    /// The rows' values in the key columns.
+    key: Vec<f64>,
+    /// Row id of each tree point.
+    rows: Vec<u32>,
+    /// KD-tree over the rows' tree columns.
+    tree: KdTree,
+}
+
+/// Reusable per-query search state. The group order depends only on the
+/// query's key columns, so it is kept for as long as consecutive queries
+/// share them — a whole lattice fill for one AP.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Key columns the cached `order` was computed for.
+    key: Vec<f64>,
+    /// `(offset, group)` in ascending offset, ties by group.
+    order: Vec<(f64, usize)>,
+    tree_query: Vec<f64>,
+    heap: NeighborScratch,
+    cand: Vec<(usize, f64)>,
+}
+
+impl GroupedIndex {
+    fn build(data: Vec<f64>, dim: usize, key_cols: Vec<usize>, tree_cols: Vec<usize>) -> Self {
+        // A key value is 0 or the column's shared value, so a row's key is
+        // the set of key columns it sets, packed into bit words (±0 give
+        // the same distance terms, so they are one key value).
+        let words = key_cols.len() / 64 + 1;
+        let mut bits = vec![0u64; data.len() / dim * words];
+        for (row, key) in data.chunks_exact(dim).zip(bits.chunks_exact_mut(words)) {
+            for (j, &c) in key_cols.iter().enumerate() {
+                key[j / 64] |= u64::from(row[c] != 0.0) << (j % 64);
+            }
+        }
+        let key_of = |r: usize| &bits[r * words..(r + 1) * words];
+        // Stable: rows stay in ascending order within their group.
+        let mut order: Vec<usize> = (0..data.len() / dim).collect();
+        order.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
+        let flat = data.as_slice();
+        let groups = order
+            .chunk_by(|&a, &b| key_of(a) == key_of(b))
+            .map(|rows| {
+                let points = rows
+                    .iter()
+                    .flat_map(|&r| tree_cols.iter().map(move |&c| flat[r * dim + c]))
+                    .collect();
+                Group {
+                    key: key_cols.iter().map(|&c| flat[rows[0] * dim + c]).collect(),
+                    rows: rows.iter().map(|&r| r as u32).collect(),
+                    tree: KdTree::build_flat(points, tree_cols.len())
+                        .expect("a group holds at least one row"),
+                }
+            })
+            .collect();
+        GroupedIndex {
+            data,
+            key_cols,
+            tree_cols,
+            groups,
+        }
+    }
+
+    /// The `k` nearest rows to the (scaled) `query`, as brute force ranks
+    /// them, into `out`.
+    fn nearest_into(&self, query: &[f64], k: usize, s: &mut Scratch, out: &mut Vec<(usize, f64)>) {
+        let same_key = !s.order.is_empty()
+            && self
+                .key_cols
+                .iter()
+                .zip(&s.key)
+                .all(|(&c, v)| query[c].to_bits() == v.to_bits());
+        if !same_key {
+            s.key.clear();
+            s.key.extend(self.key_cols.iter().map(|&c| query[c]));
+            s.order.clear();
+            s.order.extend(
+                self.groups
+                    .iter()
+                    .enumerate()
+                    .map(|(g, group)| (sq_euclidean(&s.key, &group.key), g)),
+            );
+            s.order
+                .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
+        s.tree_query.clear();
+        s.tree_query
+            .extend(self.tree_cols.iter().map(|&c| query[c]));
+        s.heap.clear();
+        for &(offset, g) in &s.order {
+            // Later groups have offsets at least this large, and every row
+            // of a group lies at least its offset away.
+            if !s.heap.may_enter(k, offset) {
+                break;
+            }
+            let group = &self.groups[g];
+            let probe = GroupProbe {
+                offset,
+                rows: &group.rows,
+                data: &self.data,
+                query,
+            };
+            group
+                .tree
+                .search_group(&s.tree_query, k, &probe, &mut s.heap);
+        }
+        s.heap.drain_sorted_into(out);
+    }
 }
 
 /// A kNN regressor with Minkowski metric.
@@ -136,9 +309,10 @@ impl KnnRegressor {
         self.k
     }
 
-    /// Whether the fitted model is using the KD-tree backend.
+    /// Whether the fitted model searches the grouped KD-tree index rather
+    /// than scanning every row.
     pub fn uses_kdtree(&self) -> bool {
-        matches!(self.fitted, Some(Fitted::Tree(_)))
+        matches!(self.fitted, Some(Fitted::Index(_)))
     }
 
     fn is_euclidean(&self) -> bool {
@@ -175,23 +349,28 @@ impl KnnRegressor {
             .powf(1.0 / p)
     }
 
-    /// Finds the k nearest fitted rows to the (already scaled) query.
-    fn neighbours(&self, query: &[f64]) -> Vec<(usize, f64)> {
-        match self.fitted.as_ref().expect("checked by callers") {
-            Fitted::Tree(tree) => tree.nearest(query, self.k),
+    /// Replaces `nn` with the k nearest fitted rows to the (already
+    /// scaled) query. The per-item and batched paths both end here.
+    fn neighbours_into(
+        &self,
+        fitted: &Fitted,
+        query: &[f64],
+        s: &mut Scratch,
+        nn: &mut Vec<(usize, f64)>,
+    ) {
+        match fitted {
+            Fitted::Index(index) => index.nearest_into(query, self.k, s, nn),
+            Fitted::Brute { data } if self.is_euclidean() => {
+                brute_force_topk_into(data, query.len(), query, self.k, &mut s.cand, nn);
+            }
             Fitted::Brute { data } => {
-                if self.is_euclidean() {
-                    brute_force_nearest_flat(data, query.len(), query, self.k)
-                } else {
-                    let mut all: Vec<(usize, f64)> = data
-                        .chunks_exact(query.len())
+                s.cand.clear();
+                s.cand.extend(
+                    data.chunks_exact(query.len())
                         .enumerate()
-                        .map(|(i, p)| (i, self.minkowski(p, query)))
-                        .collect();
-                    all.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
-                    all.truncate(self.k);
-                    all
-                }
+                        .map(|(i, p)| (i, self.minkowski(p, query))),
+                );
+                top_k_from_candidates(&mut s.cand, self.k, nn);
             }
         }
     }
@@ -254,10 +433,8 @@ impl KnnRegressor {
         }
         self.y = y.to_vec();
         self.dim = Some(dim);
-        // The KD-tree only accelerates the Euclidean metric in low
-        // dimensions; otherwise stick to brute force.
-        self.fitted = Some(if dim <= KDTREE_MAX_DIM && self.is_euclidean() {
-            Fitted::Tree(KdTree::build_flat(flat, dim).expect("validated non-empty training set"))
+        self.fitted = Some(if self.is_euclidean() {
+            Fitted::euclidean(flat, dim)
         } else {
             Fitted::Brute { data: flat }
         });
@@ -317,9 +494,11 @@ impl Regressor for KnnRegressor {
 
     fn predict_one(&self, x: &[f64]) -> Result<f64, MlError> {
         self.check_dim(x.len())?;
+        let fitted = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
         let mut query = Vec::with_capacity(x.len());
         self.scale_into(x, &mut query);
-        let nn = self.neighbours(&query);
+        let mut nn = Vec::new();
+        self.neighbours_into(fitted, &query, &mut Scratch::default(), &mut nn);
         Ok(self.aggregate(&nn))
     }
 
@@ -329,27 +508,11 @@ impl Regressor for KnnRegressor {
         let mut out = Vec::with_capacity(xs.rows());
         // All per-query state is hoisted out of the loop and reused.
         let mut query: Vec<f64> = Vec::with_capacity(dim);
-        let mut scratch = NeighborScratch::default();
-        let mut cand: Vec<(usize, f64)> = Vec::new();
+        let mut scratch = Scratch::default();
         let mut nn: Vec<(usize, f64)> = Vec::new();
         for row in xs.iter() {
             self.scale_into(row, &mut query);
-            match fitted {
-                Fitted::Tree(tree) => tree.nearest_into(&query, self.k, &mut scratch, &mut nn),
-                Fitted::Brute { data } => {
-                    if self.is_euclidean() {
-                        brute_force_topk_into(data, dim, &query, self.k, &mut cand, &mut nn);
-                    } else {
-                        cand.clear();
-                        cand.extend(
-                            data.chunks_exact(dim)
-                                .enumerate()
-                                .map(|(i, p)| (i, self.minkowski(p, &query))),
-                        );
-                        top_k_from_candidates(&mut cand, self.k, &mut nn);
-                    }
-                }
-            }
+            self.neighbours_into(fitted, &query, &mut scratch, &mut nn);
             out.push(self.aggregate(&nn));
         }
         Ok(out)
@@ -438,7 +601,28 @@ mod tests {
         let x_hi: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64; 20]).collect();
         let mut hi = KnnRegressor::new(3, Weighting::Uniform, 2.0).unwrap();
         hi.fit(&x_hi, &y).unwrap();
-        assert!(!hi.uses_kdtree(), "20-D → brute force");
+        assert!(!hi.uses_kdtree(), "20 tree columns → brute force");
+
+        // Key columns (0 or one shared value) do not count towards the
+        // cutoff: 1 tree column beside 20 one-hot and zero columns.
+        let x_keyed: Vec<Vec<f64>> = x
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let mut v = r.clone();
+                v.extend((0..20).map(|j| if j == i % 4 { 3.0 } else { 0.0 }));
+                v
+            })
+            .collect();
+        let mut keyed = KnnRegressor::new(3, Weighting::Uniform, 2.0).unwrap();
+        keyed.fit(&x_keyed, &y).unwrap();
+        assert!(keyed.uses_kdtree(), "1 tree + 20 key columns → KD-tree");
+
+        // No tree column at all: every column is two-valued.
+        let x_keys: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 2) as f64, 0.0]).collect();
+        let mut keys = KnnRegressor::new(3, Weighting::Uniform, 2.0).unwrap();
+        keys.fit(&x_keys, &y).unwrap();
+        assert!(!keys.uses_kdtree(), "no tree column → brute force");
 
         let mut manhattan = KnnRegressor::new(3, Weighting::Uniform, 1.0).unwrap();
         manhattan.fit(&x, &y).unwrap();
@@ -447,37 +631,69 @@ mod tests {
 
     #[test]
     fn backends_agree() {
-        // Same data low-dim via tree vs forced brute force (p=1.9999…
-        // rounds differently, so compare p=2 tree against p=2 brute by
-        // padding dimensions instead).
+        // One geometry through the KD-tree and through brute force. Zero
+        // padding keeps distances unchanged but only adds key columns, which
+        // do not count towards the tree cutoff, so brute force is forced
+        // with more than 8 tree columns: the coordinates repeated four times
+        // at half scale, which sums to the same squared distances up to
+        // rounding.
         let x3: Vec<Vec<f64>> = (0..50)
             .map(|i| vec![(i % 7) as f64, (i % 5) as f64, (i % 3) as f64])
             .collect();
         let y: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let mut tree = KnnRegressor::new(4, Weighting::Distance, 2.0).unwrap();
-        tree.fit(&x3, &y).unwrap();
-        assert!(tree.uses_kdtree());
-        // Pad with 6 constant zero dims: distances unchanged, but the
-        // regressor now picks brute force.
-        let x9: Vec<Vec<f64>> = x3
-            .iter()
-            .map(|r| {
-                let mut v = r.clone();
-                v.extend([0.0; 6]);
-                v
-            })
-            .collect();
-        let mut brute = KnnRegressor::new(4, Weighting::Distance, 2.0).unwrap();
-        brute.fit(&x9, &y).unwrap();
+        let pad = |r: &[f64]| {
+            let mut v = r.to_vec();
+            v.extend([0.0; 6]);
+            v
+        };
+        let repeat =
+            |r: &[f64]| -> Vec<f64> { (0..4).flat_map(|_| r.iter().map(|v| v * 0.5)).collect() };
+        let fit = |rows: Vec<Vec<f64>>| {
+            let mut knn = KnnRegressor::new(4, Weighting::Distance, 2.0).unwrap();
+            knn.fit(&rows, &y).unwrap();
+            knn
+        };
+        let tree = fit(x3.clone());
+        let padded = fit(x3.iter().map(|r| pad(r)).collect());
+        let brute = fit(x3.iter().map(|r| repeat(r)).collect());
+        assert!(tree.uses_kdtree() && padded.uses_kdtree());
         assert!(!brute.uses_kdtree());
         for i in 0..10 {
             let q3 = vec![i as f64 * 0.37, i as f64 * 0.21, 1.1];
-            let mut q9 = q3.clone();
-            q9.extend([0.0; 6]);
             let a = tree.predict_one(&q3).unwrap();
-            let b = brute.predict_one(&q9).unwrap();
+            // Zero columns add exact zero terms, so padding keeps the bits.
+            assert_eq!(
+                a.to_bits(),
+                padded.predict_one(&pad(&q3)).unwrap().to_bits()
+            );
+            let b = brute.predict_one(&repeat(&q3)).unwrap();
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn square_root_ties_rank_like_brute_force_through_the_index() {
+        // Rows 0 and 1 share a key, and their squared distances from the
+        // query differ in the last bit but share a square root, so brute
+        // force keeps the lower index. Row 2 sits in another group.
+        let x = vec![
+            vec![1.0000003, 0.5000000000000001, 3.0],
+            vec![1.0000003, 0.5, 3.0],
+            vec![2.0, 1.5, 0.0],
+        ];
+        let y = vec![-40.0, -50.0, -60.0];
+        let mut knn = KnnRegressor::new(1, Weighting::Uniform, 2.0).unwrap();
+        knn.fit(&x, &y).unwrap();
+        assert!(knn.uses_kdtree());
+        let query = [0.0, 0.0, 3.0];
+        let flat: Vec<f64> = x.concat();
+        assert_eq!(
+            crate::kdtree::brute_force_nearest_flat(&flat, 3, &query, 1)[0].0,
+            0
+        );
+        assert_eq!(knn.predict_one(&query).unwrap(), -40.0);
+        let batch = knn.predict_batch(&FeatureMatrix::from_rows(&[query.to_vec()]).unwrap());
+        assert_eq!(batch.unwrap(), vec![-40.0]);
     }
 
     #[test]

@@ -156,17 +156,33 @@ impl Listener {
         Ok(Listener::Tcp(TcpListener::bind(addr)?))
     }
 
-    /// Binds a Unix-domain listener at `path`, replacing a stale socket
-    /// file if one exists.
+    /// Binds a Unix-domain listener at `path`. A socket file there that
+    /// still accepts connections belongs to a live daemon and is left
+    /// alone; one that refuses them is stale and is replaced.
     ///
     /// # Errors
     ///
-    /// Propagates the OS bind failure.
+    /// [`io::ErrorKind::AddrInUse`] when a live daemon serves `path`, or
+    /// when `path` is some other kind of file; otherwise the OS failure to
+    /// remove a stale socket or to bind.
     #[cfg(unix)]
     pub fn bind_uds(path: impl Into<PathBuf>) -> io::Result<Listener> {
+        use std::os::unix::fs::FileTypeExt;
         let path = path.into();
-        if path.exists() {
-            std::fs::remove_file(&path)?;
+        match UnixStream::connect(&path) {
+            Ok(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::AddrInUse,
+                    "a live daemon is serving this socket",
+                ));
+            }
+            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
+                let stale = std::fs::symlink_metadata(&path);
+                if stale.is_ok_and(|m| m.file_type().is_socket()) {
+                    std::fs::remove_file(&path)?;
+                }
+            }
+            Err(_) => {}
         }
         Ok(Listener::Uds(UnixListener::bind(&path)?, path))
     }

@@ -196,11 +196,130 @@ proptest! {
             .collect();
         let tree = KdTree::build(points.clone()).unwrap();
         let q: Vec<f64> = (0..3).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let got = tree.nearest(&q, k);
-        let want = brute_force_nearest(&points, &q, k);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert!((g.1 - w.1).abs() < 1e-9);
+        // The same (index, distance) pairs, bit for bit, tie order included.
+        prop_assert_eq!(tree.nearest(&q, k), brute_force_nearest(&points, &q, k));
+    }
+
+    /// The kNN oracle: whichever backend a fit picks, `predict_one` and
+    /// `predict_batch` equal distance weighting over
+    /// `brute_force_nearest_flat` of the scaled full rows, bit for bit.
+    /// Rows are `[coordinates | one-hot MAC | one-hot channel | zeros]`
+    /// with lattice-snapped coordinates, so exact distance ties and
+    /// squared distances that share a square root both occur. `layout` 0
+    /// takes the grouped index; 1 makes every column two-valued and 2
+    /// gives 9 coordinate columns, the two brute-force fallbacks.
+    #[test]
+    fn knn_matches_the_brute_force_oracle_bits(
+        seed in 0u64..1_000_000,
+        layout in 0usize..3,
+        k_pick in 0usize..4,
+    ) {
+        use aerorem::ml::kdtree::brute_force_nearest_flat;
+        use aerorem::ml::FeatureMatrix;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let coords = if layout == 2 { 9 } else { rng.gen_range(1..=3) };
+        let (macs, chans, pads) = (rng.gen_range(1..=6), rng.gen_range(1..=3), rng.gen_range(0..=2));
+        let dim = coords + macs + chans + pads;
+        let step = [0.5, 0.1, 0.3][rng.gen_range(0..3usize)];
+        // A lattice value, nudged up one ulp half the time: equal lattice
+        // distances tie exactly, and nudged ones differ in the last bits,
+        // which is where distinct squared distances share a square root.
+        let lattice = |rng: &mut rand::rngs::StdRng, i: usize| {
+            let v = step * i as f64;
+            if rng.gen_bool(0.5) { f64::from_bits(v.to_bits() + 1) } else { v }
+        };
+        let row = |rng: &mut rand::rngs::StdRng, at: Option<&[f64]>, mac: Option<usize>, chan: Option<usize>| {
+            let mut v: Vec<f64> = match at {
+                Some(at) => at[..coords].to_vec(),
+                None if layout == 1 => (0..coords)
+                    .map(|c| if rng.gen_bool(0.5) { step * (c + 1) as f64 } else { 0.0 })
+                    .collect(),
+                None => (0..coords).map(|_| { let i = rng.gen_range(0..6); lattice(rng, i) }).collect(),
+            };
+            v.extend((0..macs).map(|m| f64::from(u8::from(mac == Some(m)))));
+            v.extend((0..chans).map(|c| f64::from(u8::from(chan == Some(c)))));
+            v.extend(std::iter::repeat_n(0.0, pads));
+            v
+        };
+        let n = rng.gen_range(2..80);
+        // Rows 0 and 1 give every coordinate column two distinct non-zero
+        // values, so no coordinate column passes for a key column.
+        let firsts: Vec<Vec<f64>> = if layout == 1 {
+            Vec::new()
+        } else {
+            (1..=2).map(|i| vec![step * i as f64; coords]).collect()
+        };
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let (mac, chan) = (rng.gen_range(0..macs), rng.gen_range(0..chans));
+                row(&mut rng, firsts.get(i).map(Vec::as_slice), Some(mac), Some(chan))
+            })
+            .collect();
+        let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-90.0..-30.0)).collect();
+        let k = [1, 3, 16, n][k_pick];
+        let weighting = if rng.gen_bool(0.5) { Weighting::Distance } else { Weighting::Uniform };
+        let scale: Option<Vec<f64>> = rng.gen_bool(0.5).then(|| {
+            (0..dim).map(|c| if (coords..coords + macs).contains(&c) { 3.0 } else { 1.0 }).collect()
+        });
+        let mut knn = KnnRegressor::new(k, weighting, 2.0).unwrap();
+        if let Some(s) = &scale {
+            knn = knn.with_feature_scaling(s.clone()).unwrap();
+        }
+        knn.fit(&x, &y).unwrap();
+        prop_assert_eq!(knn.uses_kdtree(), layout == 0);
+
+        let scaled = |r: &[f64]| -> Vec<f64> {
+            match &scale {
+                Some(s) => r.iter().zip(s).map(|(v, w)| v * w).collect(),
+                None => r.to_vec(),
+            }
+        };
+        let data: Vec<f64> = x.iter().flat_map(|r| scaled(r)).collect();
+        let oracle = |q: &[f64]| -> f64 {
+            let nn = brute_force_nearest_flat(&data, dim, &scaled(q), k);
+            match weighting {
+                Weighting::Uniform => nn.iter().map(|&(i, _)| y[i]).sum::<f64>() / nn.len() as f64,
+                Weighting::Distance => {
+                    let exact: Vec<f64> = nn.iter().filter(|p| p.1 == 0.0).map(|&(i, _)| y[i]).collect();
+                    if !exact.is_empty() {
+                        return exact.iter().sum::<f64>() / exact.len() as f64;
+                    }
+                    let (mut num, mut den) = (0.0, 0.0);
+                    for &(i, d) in &nn {
+                        let w = 1.0 / d;
+                        num += w * y[i];
+                        den += w;
+                    }
+                    num / den
+                }
+            }
+        };
+        // Runs of queries sharing a key, then a return to the first key,
+        // so the batched path both reuses and rebuilds its group order.
+        let mut keys: Vec<(Option<usize>, Option<usize>)> = (0..4)
+            .map(|_| {
+                let mac = rng.gen_range(0..=macs);
+                let chan = rng.gen_range(0..=chans);
+                ((mac < macs).then_some(mac), (chan < chans).then_some(chan))
+            })
+            .collect();
+        keys.push(keys[0]);
+        // Half the queries sit on a training row's coordinates, where
+        // distances of exactly 0 occur.
+        let queries: Vec<Vec<f64>> = keys
+            .iter()
+            .flat_map(|&(mac, chan)| (0..3).map(move |_| (mac, chan)))
+            .map(|(mac, chan)| {
+                let at = rng.gen_bool(0.5).then(|| x[rng.gen_range(0..n)].clone());
+                row(&mut rng, at.as_deref(), mac, chan)
+            })
+            .collect();
+        let batch = knn.predict_batch(&FeatureMatrix::from_rows(&queries).unwrap()).unwrap();
+        for (q, b) in queries.iter().zip(&batch) {
+            let want = oracle(q).to_bits();
+            prop_assert_eq!(knn.predict_one(q).unwrap().to_bits(), want, "query {:?}", q);
+            prop_assert_eq!(b.to_bits(), want, "batched query {:?}", q);
         }
     }
 

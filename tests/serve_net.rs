@@ -13,6 +13,9 @@ use aerorem::serve::{
     ClientError,
 };
 use aerorem::spatial::{Aabb, Vec3};
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// A deterministic multi-AP snapshot; `bias` shifts every sample so two
 /// calls with different biases produce stores with different answers.
@@ -102,10 +105,35 @@ fn assert_bit_identical(wire: &[Response], local: &[Response]) {
     }
 }
 
-/// A short, unique Unix socket path (UDS paths have a ~100 byte limit,
-/// so `TMPDIR`-based tempfile paths are risky).
+/// A short Unix socket path, unique to each call: the tests in this file
+/// run concurrently, and no two of their daemons may share a path (UDS
+/// paths have a ~100 byte limit, so `TMPDIR`-based tempfile paths are
+/// risky).
 fn uds_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("aerorem-{}-{tag}.sock", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, AtomicOrdering::Relaxed);
+    std::env::temp_dir().join(format!("aerorem-{}-{n}-{tag}.sock", std::process::id()))
+}
+
+/// Runs `body` on its own thread and fails if it has not finished within
+/// `secs` seconds, so a daemon that never shuts down fails the test
+/// instead of hanging the suite.
+fn with_watchdog(secs: u64, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(secs)) {
+        Ok(()) => worker.join().expect("test body finished"),
+        // The body panicked: re-raise its panic.
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("test body still running after {secs} s"),
+    }
 }
 
 fn start_daemon(policy: ExecPolicy, snapshot: &RemSnapshot) -> (Daemon, aerorem::serve::ServerHandle, String, std::path::PathBuf) {
@@ -281,4 +309,51 @@ fn unknown_namespaces_and_bad_snapshots_fail_with_typed_server_errors() {
 
     client.shutdown().expect("daemon acknowledges shutdown");
     handle.join();
+}
+
+#[cfg(unix)]
+#[test]
+fn a_second_bind_on_a_live_socket_fails_and_the_first_daemon_still_joins() {
+    with_watchdog(30, || {
+        let snapshot = synthetic_snapshot(2, 0.0);
+        let queries = mixed_queries();
+        let (daemon, handle, _tcp_addr, sock) = start_daemon(ExecPolicy::Serial, &snapshot);
+        let second = Listener::bind_uds(&sock).err().map(|e| e.kind());
+        assert_eq!(second, Some(std::io::ErrorKind::AddrInUse));
+
+        // The socket still reaches the first daemon, which answers and
+        // then shuts down through it.
+        let (_, local) = daemon.answer(0, &queries).expect("in-process answers");
+        let mut client = WireClient::connect_uds(&sock).expect("connect uds");
+        let (_, over_uds) = client.query(0, &queries).expect("uds query answers");
+        assert_bit_identical(&over_uds, &local);
+        client.shutdown().expect("daemon acknowledges shutdown");
+        handle.join();
+        assert!(!sock.exists(), "the daemon removes its socket on exit");
+    });
+}
+
+#[cfg(unix)]
+#[test]
+fn a_stale_socket_file_is_replaced() {
+    with_watchdog(30, || {
+        let sock = uds_path("stale");
+        // A listener dropped without unlinking leaves a socket file that
+        // refuses connections, as a crashed daemon does.
+        drop(std::os::unix::net::UnixListener::bind(&sock).expect("bind raw uds"));
+        assert!(sock.exists());
+        let daemon = Daemon::new(DaemonConfig {
+            policy: ExecPolicy::Serial,
+            store: StoreConfig::default(),
+        });
+        daemon
+            .load("default", &synthetic_snapshot(1, 0.0).to_bytes())
+            .expect("synthetic snapshot loads");
+        let handle = daemon.start(vec![
+            Listener::bind_uds(&sock).expect("stale socket replaced")
+        ]);
+        let mut client = WireClient::connect_uds(&sock).expect("connect uds");
+        client.shutdown().expect("daemon acknowledges shutdown");
+        handle.join();
+    });
 }
