@@ -432,7 +432,7 @@ fn main() {
         }
     }
 
-    // --- sharded point serving (small-batch fallback in play) ---
+    // --- bricked point serving (small-batch fallback in play) ---
     let (nx, ny, nz) = sizes.serve_dims;
     let grids = (1..=4u32)
         .map(|m| {
@@ -448,10 +448,7 @@ fn main() {
         .collect();
     let store = RemStore::build(
         &RemSnapshot::new(grids).expect("serve snapshot"),
-        StoreConfig {
-            brick_edge: 8,
-            shard_count: 4,
-        },
+        StoreConfig::default(),
     )
     .expect("store build");
     let workload = point_workload(

@@ -1,12 +1,13 @@
-//! REM serving throughput: batched point queries against the sharded
+//! REM serving throughput: batched point queries against the bricked
 //! store.
 //!
 //! This is the acceptance bench for the serving layer (PR 6): it builds a
-//! synthetic multi-AP snapshot, ingests it into `RemStore` at several
-//! shard counts, and drives seeded zipfian (hot-spot) and uniform point
-//! workloads through `submit_batch` at several batch sizes, under both
-//! execution policies. Before any number is written it asserts the serial
-//! and parallel arms return **bit-identical** response vectors, then the
+//! synthetic multi-AP snapshot, ingests it into `RemStore`, and drives
+//! seeded zipfian (hot-spot) and uniform point workloads through
+//! `submit_batch` at several batch sizes, under both execution policies.
+//! Before any number is written it asserts the serial and parallel arms
+//! return **bit-identical** response vectors over batches of two executor
+//! chunks (so the parallel arm splits them across workers), then the
 //! timing rows land in the `serve` section of `BENCH_3.json` at the
 //! repository root (gated by `scripts/bench_diff`), and the run fails
 //! outright if the best zipfian configuration cannot sustain ≥1M point
@@ -26,6 +27,7 @@ use aerorem_numerics::ExecPolicy;
 use aerorem_propagation::ap::MacAddress;
 use aerorem_serve::{
     point_workload, Distribution, Query, RemStore, Response, StoreConfig, WorkloadConfig,
+    SERVE_GRANULARITY,
 };
 use aerorem_spatial::Aabb;
 
@@ -41,7 +43,6 @@ struct Sizes {
     dims: (usize, usize, usize),
     aps: u32,
     queries: usize,
-    shard_counts: &'static [usize],
     batch_sizes: &'static [usize],
     reps: usize,
 }
@@ -50,7 +51,6 @@ const FULL: Sizes = Sizes {
     dims: (64, 64, 32),
     aps: 4,
     queries: 1_000_000,
-    shard_counts: &[1, 4, 8],
     batch_sizes: &[1024, 65536],
     reps: 3,
 };
@@ -59,7 +59,6 @@ const SMOKE: Sizes = Sizes {
     dims: (16, 16, 8),
     aps: 2,
     queries: 20_000,
-    shard_counts: &[1, 2],
     batch_sizes: &[512],
     reps: 1,
 };
@@ -118,45 +117,42 @@ fn main() {
 
     let mut rows: Vec<String> = Vec::new();
     let mut peak_zipf_qps = 0.0f64;
-    for &shards in sizes.shard_counts {
-        let store = RemStore::build(
-            &decoded,
-            StoreConfig {
-                brick_edge: 8,
-                shard_count: shards,
+    let store = RemStore::build(&decoded, StoreConfig::default()).expect("store build");
+    // Two executor chunks per gate batch: the parallel arm must split it.
+    let gate_batch = 2 * SERVE_GRANULARITY.min_chunk;
+    assert!(
+        sizes.queries >= gate_batch,
+        "the identity gate needs a two-chunk batch"
+    );
+    for dist in [Distribution::Zipfian, Distribution::Uniform] {
+        let workload = point_workload(
+            &store,
+            &WorkloadConfig {
+                queries: sizes.queries,
+                seed: SEED,
+                distribution: dist,
+                exponent: ZIPF_EXPONENT,
             },
-        )
-        .expect("store build");
-        for dist in [Distribution::Zipfian, Distribution::Uniform] {
-            let workload = point_workload(
-                &store,
-                &WorkloadConfig {
-                    queries: sizes.queries,
-                    seed: SEED,
-                    distribution: dist,
-                    exponent: ZIPF_EXPONENT,
-                },
-            );
-            // Determinism gate: both policy arms, full response vectors.
-            let reference = drain(&store, &workload, sizes.batch_sizes[0], ExecPolicy::Serial);
-            let parallel = drain(&store, &workload, sizes.batch_sizes[0], ExecPolicy::Parallel);
-            assert_eq!(
-                reference, parallel,
-                "{dist}/s{shards}: serial and parallel batches must be bit-identical"
-            );
-            for &batch in sizes.batch_sizes {
-                for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
-                    let (seconds, answers) =
-                        bench3::best_of(sizes.reps, || drain(&store, &workload, batch, policy));
-                    assert_eq!(answers, reference, "batch size must not change answers");
-                    let qps = sizes.queries as f64 / seconds;
-                    if dist == Distribution::Zipfian {
-                        peak_zipf_qps = peak_zipf_qps.max(qps);
-                    }
-                    let variant = format!("{dist}_s{shards}_b{batch}_{}", policy.label());
-                    eprintln!("{variant:<32} {seconds:>9.4} s  {qps:>12.0} q/s");
-                    rows.push(bench3::row("serve_point", &variant, seconds, sizes.queries));
+        );
+        // Determinism gate: both policy arms, full response vectors.
+        let reference = drain(&store, &workload, gate_batch, ExecPolicy::Serial);
+        let parallel = drain(&store, &workload, gate_batch, ExecPolicy::Parallel);
+        assert_eq!(
+            reference, parallel,
+            "{dist}: serial and parallel batches must be bit-identical"
+        );
+        for &batch in sizes.batch_sizes {
+            for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
+                let (seconds, answers) =
+                    bench3::best_of(sizes.reps, || drain(&store, &workload, batch, policy));
+                assert_eq!(answers, reference, "batch size must not change answers");
+                let qps = sizes.queries as f64 / seconds;
+                if dist == Distribution::Zipfian {
+                    peak_zipf_qps = peak_zipf_qps.max(qps);
                 }
+                let variant = format!("{dist}_b{batch}_{}", policy.label());
+                eprintln!("{variant:<32} {seconds:>9.4} s  {qps:>12.0} q/s");
+                rows.push(bench3::row("serve_point", &variant, seconds, sizes.queries));
             }
         }
     }

@@ -131,10 +131,7 @@ fn main() {
     let smoke = bench3::smoke();
     let sizes = if smoke { &SMOKE } else { &FULL };
     let snapshot = synthetic_snapshot(sizes);
-    let store_config = StoreConfig {
-        brick_edge: 8,
-        shard_count: 4,
-    };
+    let store_config = StoreConfig::default();
 
     // Ground truth: the same snapshot answered in-process, no sockets.
     let store = RemStore::build(&snapshot, store_config).expect("store build");

@@ -230,7 +230,7 @@ pub struct RemPipeline {
 
 impl RemPipeline {
     /// Creates a pipeline for the given configuration under the default
-    /// execution policy (parallel when the `parallel` feature is on).
+    /// execution policy ([`ExecPolicy::Parallel`]).
     pub fn new(config: PipelineConfig) -> Self {
         Self::with_policy(config, ExecPolicy::default())
     }

@@ -6,8 +6,6 @@
 //! queryable at arbitrary positions by nearest-cell lookup with trilinear
 //! refinement left to the caller's estimator when exactness matters.
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_ml::kriging::{KrigingCacheStats, KrigingScratch, OrdinaryKriging};
 use aerorem_ml::{FeatureMatrix, MlError, Regressor};
 use aerorem_propagation::ap::MacAddress;
@@ -47,7 +45,7 @@ const REM_FILL_GRAN: exec::Granularity = exec::Granularity::new(MIN_BATCH_CHUNK,
 /// println!("{} dBm at the query point", rss);
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemGrid {
     mac: MacAddress,
     volume: Aabb,

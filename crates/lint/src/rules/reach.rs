@@ -11,7 +11,7 @@ use crate::workspace::Workspace;
 
 /// The reachability roots, as (crate, function-name) pairs. Every function
 /// with a matching name in the crate seeds the search — `answer` exists on
-/// both the daemon and the store shards, and both are on the serve path.
+/// both the daemon and the store, and both are on the serve path.
 pub const REACH_ROOTS: [(&str, &str); 8] = [
     ("serve", "serve_connection"),
     ("serve", "process_frames"),

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_spatial::{Aabb, Vec3};
 
 /// Identifier of one localization anchor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AnchorId(pub u8);
 
 impl fmt::Display for AnchorId {
@@ -21,7 +19,7 @@ impl fmt::Display for AnchorId {
 /// §II-B: deployment consists of "simply positioning of the localization
 /// anchors, measuring their coordinates relative to a chosen origin, and
 /// initializing their automated calibration".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Anchor {
     /// The anchor's identity.
     pub id: AnchorId,
@@ -47,7 +45,7 @@ impl fmt::Display for Anchor {
 /// assert_eq!(c.len(), 8);
 /// assert!(c.supports_3d());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnchorConstellation {
     anchors: Vec<Anchor>,
 }

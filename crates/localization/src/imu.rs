@@ -10,7 +10,6 @@
 //! [`crate::eval`] helpers quantify the benefit.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use aerorem_numerics::dist;
 use aerorem_spatial::Vec3;
@@ -18,7 +17,7 @@ use aerorem_spatial::Vec3;
 use crate::ekf::Ekf;
 
 /// Accelerometer error model (world-frame simplification).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImuConfig {
     /// 1-σ white noise per axis, m/s².
     pub accel_noise_std: f64,
@@ -56,7 +55,7 @@ impl Default for ImuConfig {
 /// let m = imu.measure(Vec3::ZERO, &mut rng);
 /// assert!(m.norm() < 1.0, "noise + bias stay small: {m}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Imu {
     config: ImuConfig,
     bias: Vec3,

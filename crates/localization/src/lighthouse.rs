@@ -14,7 +14,6 @@
 //! update.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use aerorem_numerics::dist;
 use aerorem_spatial::Vec3;
@@ -22,7 +21,7 @@ use aerorem_spatial::Vec3;
 use crate::ekf::{Ekf, EkfError};
 
 /// One Lighthouse base station.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaseStation {
     /// Position in the volume frame (typically high in two room corners).
     pub position: Vec3,
@@ -43,7 +42,7 @@ impl BaseStation {
 }
 
 /// One sweep observation from one base station.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepMeasurement {
     /// Index of the base station that produced the sweep.
     pub station: usize,
@@ -54,7 +53,7 @@ pub struct SweepMeasurement {
 }
 
 /// A deployed pair (or more) of Lighthouse base stations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LighthouseSystem {
     stations: Vec<BaseStation>,
     /// 1-σ angular noise in radians (~0.5 mrad for Lighthouse V2).

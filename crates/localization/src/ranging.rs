@@ -11,7 +11,6 @@
 //! probability) produce no measurement.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use aerorem_numerics::dist;
 use aerorem_spatial::Vec3;
@@ -19,7 +18,7 @@ use aerorem_spatial::Vec3;
 use crate::anchors::{AnchorConstellation, AnchorId};
 
 /// Which UWB localization procedure runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RangingMode {
     /// Two-way ranging: one absolute range per anchor exchange. Simple but
     /// the tag must transact with each anchor (no multi-UAV scaling).
@@ -31,7 +30,7 @@ pub enum RangingMode {
 }
 
 /// One ranging observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RangeMeasurement {
     /// Absolute range to one anchor (TWR).
     Twr {
@@ -52,7 +51,7 @@ pub enum RangeMeasurement {
 }
 
 /// Ranging noise/availability configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangingConfig {
     /// Active procedure.
     pub mode: RangingMode,

@@ -7,9 +7,8 @@
 //! per leg, a resumed campaign is bit-identical to an uninterrupted run
 //! under the same master seed.
 //!
-//! The format is a hand-rolled line-oriented text file (the workspace's
-//! `serde` is a derivability marker only, it never serializes), embedding
-//! each completed leg's sample set as the [`crate::csv`] CSV block.
+//! The format is a hand-rolled line-oriented text file, embedding each
+//! completed leg's sample set as the [`crate::csv`] CSV block.
 //!
 //! # Examples
 //!

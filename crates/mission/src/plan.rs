@@ -8,15 +8,13 @@
 //! yaw", and scaling "can be done by simply adding sets of waypoints and
 //! above-mentioned parameters".
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_simkit::SimDuration;
 use aerorem_spatial::grid::{GridError, WaypointGrid};
 use aerorem_spatial::{Aabb, Vec3};
 use aerorem_uav::UavId;
 
 /// The per-UAV portion of a mission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UavLeg {
     /// Which UAV flies this leg.
     pub uav: UavId,
@@ -67,7 +65,7 @@ impl UavLeg {
 }
 
 /// A full multi-UAV mission plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionPlan {
     /// The scan volume.
     pub volume: Aabb,
@@ -81,7 +79,7 @@ pub struct MissionPlan {
 }
 
 /// Builder-style entry point for plans.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetPlan {
     /// Number of UAVs flying sequentially.
     pub fleet_size: usize,

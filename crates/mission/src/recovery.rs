@@ -8,7 +8,6 @@
 //! the leg.
 
 use aerorem_simkit::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A bounded, deterministic retry schedule for failed scans.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(policy.backoff(1), SimDuration::from_millis(1000));
 /// assert_eq!(RetryPolicy::none().max_retries, 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Re-attempts after the first failed scan of a waypoint (0 = the old
     /// skip-on-first-fault behaviour).
@@ -95,7 +94,7 @@ impl Default for RetryPolicy {
 /// let inj = ScanFaultInjection { period: 3, burst: 2 };
 /// assert!(inj.burst < inj.period, "some scans must still succeed");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanFaultInjection {
     /// Schedule length in measure attempts.
     pub period: u32,

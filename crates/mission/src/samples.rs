@@ -8,8 +8,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_numerics::stats::Histogram;
 use aerorem_propagation::ap::{MacAddress, Ssid};
 use aerorem_propagation::WifiChannel;
@@ -18,7 +16,7 @@ use aerorem_spatial::Vec3;
 use aerorem_uav::UavId;
 
 /// One location-annotated signal-quality sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Which UAV collected it.
     pub uav: UavId,
@@ -52,7 +50,7 @@ pub struct Sample {
 /// assert!(set.is_empty());
 /// assert_eq!(set.mean_rssi_dbm(), None);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleSet {
     samples: Vec<Sample>,
 }
@@ -301,12 +299,5 @@ mod tests {
         extended.extend(a.iter().cloned());
         assert_eq!(extended.len(), 5);
         assert_eq!((&merged).into_iter().count(), 8);
-    }
-
-    #[test]
-    fn sample_set_is_serializable() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<SampleSet>();
-        assert_serde::<Sample>();
     }
 }

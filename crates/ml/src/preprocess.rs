@@ -176,26 +176,10 @@ impl StandardScaler {
 
     /// Transforms a whole matrix, returning a new one.
     ///
-    /// With the `parallel` feature, large matrices are transformed across
-    /// worker threads; rows are independent and reassembled in input order,
-    /// so the output is bit-identical to the serial path.
-    ///
     /// # Errors
     ///
     /// Propagates the first row error.
     pub fn transform(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, MlError> {
-        #[cfg(feature = "parallel")]
-        if x.len() >= 1024 {
-            use rayon::prelude::*;
-            return x
-                .par_iter()
-                .map(|r| {
-                    let mut row = r.clone();
-                    self.transform_row(&mut row)?;
-                    Ok(row)
-                })
-                .collect();
-        }
         x.iter()
             .map(|r| {
                 let mut row = r.clone();

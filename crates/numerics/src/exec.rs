@@ -1,12 +1,12 @@
 //! Serial-vs-parallel execution policy and the chunked executor behind the
-//! toolchain's data-parallel stages.
+//! toolchain's data-parallel stages — map building, model selection and the
+//! serve engine's batches all run here.
 //!
-//! The `parallel` cargo feature compiles the multi-threaded paths;
-//! [`ExecPolicy`] selects between them *at runtime*, so a single default
-//! build can run the same pipeline both ways and verify the outputs are
-//! identical (the determinism tests do exactly that). When the feature is
-//! disabled, [`ExecPolicy::Parallel`] silently falls back to the serial
-//! path — callers never need to gate on the feature.
+//! [`ExecPolicy`] selects the arm *at runtime*, so one build can run the
+//! same pipeline both ways and verify the outputs are identical (the
+//! determinism tests do exactly that). The parallel arm's worker count is
+//! `AEROREM_EXEC_THREADS` when set, else the detected core count; setting
+//! it to 1 runs every parallel call inline on the caller's thread.
 //!
 //! # The granularity model
 //!
@@ -38,8 +38,10 @@
 //! much as `aerorem-core`'s pipeline stages — shares one policy type;
 //! `aerorem-core::exec` re-exports it unchanged.
 
+use std::num::NonZeroUsize;
+use std::panic;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// How the toolchain's data-parallel stages execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -48,8 +50,7 @@ pub enum ExecPolicy {
     /// checks and single-core targets.
     Serial,
     /// Worker threads over chunked work items, reassembled in input order
-    /// (the default). Identical results to [`ExecPolicy::Serial`]; falls
-    /// back to it when the `parallel` feature is disabled.
+    /// (the default). Identical results to [`ExecPolicy::Serial`].
     #[default]
     Parallel,
 }
@@ -67,22 +68,28 @@ impl ExecPolicy {
     /// Worker threads this policy may use on the current machine.
     ///
     /// `AEROREM_EXEC_THREADS` overrides the detected core count for the
-    /// parallel arm — the `scaling` bench uses it to sweep thread counts on
-    /// a fixed host. Worker count never affects results, only wall time.
+    /// parallel arm. It is read on every call, because the `scaling` bench
+    /// sweeps thread counts by setting it between arms. Worker count never
+    /// affects results, only wall time.
     #[must_use]
     pub fn threads(self) -> usize {
         match self {
             ExecPolicy::Serial => 1,
-            #[cfg(feature = "parallel")]
             ExecPolicy::Parallel => std::env::var("AEROREM_EXEC_THREADS")
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| n >= 1)
-                .unwrap_or_else(rayon::current_num_threads),
-            #[cfg(not(feature = "parallel"))]
-            ExecPolicy::Parallel => 1,
+                .unwrap_or_else(detected_cores),
         }
     }
+}
+
+/// `std::thread::available_parallelism`, detected once per process: on
+/// Linux each detection reads cgroup files (~20 µs), which would otherwise
+/// be paid by every parallel call.
+fn detected_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 impl std::fmt::Display for ExecPolicy {
@@ -192,7 +199,12 @@ pub struct ExecPlan {
 pub fn plan(policy: ExecPolicy, len: usize, gran: Granularity) -> ExecPlan {
     let chunk = gran.chunk_len(len);
     let chunks = len.div_ceil(chunk.max(1));
-    let workers = policy.threads().min(chunks).max(1);
+    // A lone chunk runs inline under either policy: skip worker detection.
+    let workers = if chunks <= 1 {
+        1
+    } else {
+        policy.threads().min(chunks)
+    };
     ExecPlan {
         workers,
         chunk,
@@ -207,7 +219,8 @@ pub fn plan(policy: ExecPolicy, len: usize, gran: Granularity) -> ExecPlan {
 /// thread between `take` and `give`, so there is no sharing to synchronize
 /// beyond the pool's own free list. Values are **buffers, not state**:
 /// they arrive dirty, and borrowers must fully overwrite whatever they
-/// read back out.
+/// read back out — which is also why a poisoned free list is used as is:
+/// the lock only ever guards a `push` or a `pop`.
 pub struct ScratchPool<S, F: Fn() -> S> {
     make: F,
     free: Mutex<Vec<S>>,
@@ -224,18 +237,19 @@ impl<S, F: Fn() -> S> ScratchPool<S, F> {
 
     /// Checks out a scratch value (reused if available, fresh otherwise).
     pub fn take(&self) -> S {
-        self.free
+        let reused = self
+            .free
             .lock()
-            .expect("scratch pool lock poisoned")
-            .pop()
-            .unwrap_or_else(|| (self.make)())
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        reused.unwrap_or_else(|| (self.make)())
     }
 
     /// Returns a scratch value to the pool for reuse.
     pub fn give(&self, s: S) {
         self.free
             .lock()
-            .expect("scratch pool lock poisoned") // lint:allow(panic-reach) — poisoning means a worker already panicked; re-raising keeps the original failure visible instead of masking it
+            .unwrap_or_else(PoisonError::into_inner)
             .push(s);
     }
 
@@ -250,7 +264,10 @@ impl<S, F: Fn() -> S> ScratchPool<S, F> {
     /// Number of values currently parked in the pool (test observability).
     #[must_use]
     pub fn idle(&self) -> usize {
-        self.free.lock().expect("scratch pool lock poisoned").len()
+        self.free
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 
@@ -272,45 +289,25 @@ where
     J: Fn(&mut S, usize) -> C + Sync,
 {
     if workers <= 1 || n_chunks <= 1 {
-        let mut s = pool.take();
-        let out = (0..n_chunks).map(|ci| job(&mut s, ci)).collect();
-        pool.give(s);
-        return out;
+        return pool.with(|s| (0..n_chunks).map(|ci| job(s, ci)).collect());
     }
     let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, C)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut s = pool.take();
-                    let mut got: Vec<(usize, C)> = Vec::new();
-                    loop {
-                        let ci = next.fetch_add(1, Ordering::Relaxed);
-                        if ci >= n_chunks {
-                            break;
-                        }
-                        got.push((ci, job(&mut s, ci)));
-                    }
-                    pool.give(s);
-                    got
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("exec worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<C>> = (0..n_chunks).map(|_| None).collect();
-    for run in per_worker {
-        for (ci, c) in run {
-            slots[ci] = Some(c);
+    // Every ticket below `n_chunks` is claimed exactly once, so the sorted
+    // claims are chunks 0, 1, …, n_chunks − 1.
+    on_workers(workers, pool, |s| {
+        let mut got = Vec::new();
+        loop {
+            let ci = next.fetch_add(1, Ordering::Relaxed);
+            if ci >= n_chunks {
+                break;
+            }
+            got.push((ci, job(s, ci)));
         }
-    }
-    slots
-        .into_iter()
-        .map(|c| c.expect("every chunk claimed exactly once"))
-        .collect()
+        got
+    })
+    .into_iter()
+    .map(|(_, c)| c)
+    .collect()
 }
 
 /// Fallible [`run_chunks`]: stops claiming new chunks once any chunk has
@@ -334,66 +331,73 @@ where
     J: Fn(&mut S, usize) -> Result<C, E> + Sync,
 {
     if workers <= 1 || n_chunks <= 1 {
-        let mut s = pool.take();
-        let mut out = Vec::with_capacity(n_chunks);
-        for ci in 0..n_chunks {
-            match job(&mut s, ci) {
-                Ok(c) => out.push(c),
-                Err(e) => {
-                    pool.give(s);
-                    return Err(e);
-                }
-            }
-        }
-        pool.give(s);
-        return Ok(out);
+        return pool.with(|s| (0..n_chunks).map(|ci| job(s, ci)).collect());
     }
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let per_worker: Vec<Vec<(usize, Result<C, E>)>> = std::thread::scope(|scope| {
+    // Only an `Err` stops the claiming short of `n_chunks`, and every chunk
+    // before it is present, so collecting in chunk order yields either all
+    // outputs or the first error.
+    on_workers(workers, pool, |s| {
+        let mut got = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
+            let ci = next.fetch_add(1, Ordering::Relaxed);
+            if ci >= n_chunks {
+                break;
+            }
+            let r = job(s, ci);
+            if r.is_err() {
+                abort.store(true, Ordering::Relaxed);
+            }
+            got.push((ci, r));
+        }
+        got
+    })
+    .into_iter()
+    .map(|(_, r)| r)
+    .collect()
+}
+
+/// Runs `work` on `workers` scoped threads, each holding one scratch value
+/// from `pool`, and returns every worker's `(chunk index, output)` pairs
+/// sorted by chunk index. A worker's panic is re-raised on the caller's
+/// thread with its original payload, so callers that catch it (the serve
+/// engine) still see the message.
+fn on_workers<S, FM, C, W>(workers: usize, pool: &ScratchPool<S, FM>, work: W) -> Vec<(usize, C)>
+where
+    S: Send,
+    FM: Fn() -> S + Sync,
+    C: Send,
+    W: Fn(&mut S) -> Vec<(usize, C)> + Sync,
+{
+    let mut claimed = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut s = pool.take();
-                    let mut got: Vec<(usize, Result<C, E>)> = Vec::new();
-                    while !abort.load(Ordering::Relaxed) {
-                        let ci = next.fetch_add(1, Ordering::Relaxed);
-                        if ci >= n_chunks {
-                            break;
-                        }
-                        let r = job(&mut s, ci);
-                        if r.is_err() {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        got.push((ci, r));
-                    }
-                    pool.give(s);
-                    got
-                })
-            })
+            .map(|_| scope.spawn(|| pool.with(&work)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("exec worker panicked")) // lint:allow(panic-reach) — deliberate panic propagation: join() only fails if the worker panicked, and swallowing it would silently drop chunks
-            .collect()
+        let mut all = Vec::new();
+        for h in handles {
+            all.extend(
+                h.join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload)),
+            );
+        }
+        all
     });
-    let mut slots: Vec<Option<Result<C, E>>> = (0..n_chunks).map(|_| None).collect();
-    for run in per_worker {
-        for (ci, c) in run {
-            slots[ci] = Some(c);
-        }
+    claimed.sort_unstable_by_key(|&(ci, _)| ci);
+    claimed
+}
+
+/// Concatenates per-chunk outputs in chunk order. A lone chunk's `Vec` is
+/// returned as it is rather than copied.
+fn concat<R>(mut chunked: Vec<Vec<R>>, len: usize) -> Vec<R> {
+    if chunked.len() == 1 {
+        return chunked.pop().unwrap_or_default();
     }
-    let mut out = Vec::with_capacity(n_chunks);
-    for slot in slots {
-        match slot {
-            Some(Ok(c)) => out.push(c),
-            Some(Err(e)) => return Err(e),
-            // Unclaimed chunks form a suffix strictly after the first
-            // failure; reaching one without having hit an Err is impossible.
-            None => unreachable!("chunk skipped without a preceding error"),
-        }
+    let mut out = Vec::with_capacity(len);
+    for c in chunked {
+        out.extend(c);
     }
-    Ok(out)
+    out
 }
 
 /// Bounds of chunk `ci` in an input of `len` items.
@@ -480,11 +484,7 @@ where
         let (lo, hi) = chunk_bounds(items.len(), p.chunk, ci);
         items[lo..hi].iter().map(|t| f(s, t)).collect()
     });
-    let mut out = Vec::with_capacity(items.len());
-    for c in chunked {
-        out.extend(c);
-    }
-    out
+    concat(chunked, items.len())
 }
 
 /// Fallible [`map_vec_with`]: collects into `Result`, returning the first
@@ -520,11 +520,7 @@ where
         }
         Ok(c)
     })?;
-    let mut out = Vec::with_capacity(items.len());
-    for c in chunked {
-        out.extend(c);
-    }
-    Ok(out)
+    Ok(concat(chunked, items.len()))
 }
 
 /// Maps `f` over `items` under the given policy, preserving input order.
@@ -553,11 +549,7 @@ where
             .expect("each chunk lot consumed exactly once");
         lot.into_iter().map(&f).collect::<Vec<R>>()
     });
-    let mut out = Vec::with_capacity(len);
-    for c in chunked {
-        out.extend(c);
-    }
-    out
+    concat(chunked, len)
 }
 
 /// Fallible [`map_vec`]: collects into `Result`, returning the first error
@@ -591,11 +583,7 @@ where
         }
         Ok(c)
     })?;
-    let mut out = Vec::with_capacity(len);
-    for c in chunked {
-        out.extend(c);
-    }
-    Ok(out)
+    Ok(concat(chunked, len))
 }
 
 /// Splits owned items into per-chunk lots a worker can move out of — the
@@ -806,6 +794,36 @@ mod tests {
                 try_run_chunks(workers, 40, &pool, |(), ci| if ci >= 13 { Err(ci) } else { Ok(ci) });
             assert_eq!(r.unwrap_err(), 13, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn a_worker_panic_is_re_raised_with_its_original_message() {
+        // Two forced workers, so the panicking chunk runs on a spawned
+        // thread whatever the host's core count.
+        let pool = ScratchPool::new(|| ());
+        let message =
+            |payload: Box<dyn std::any::Any + Send>| payload.downcast_ref::<&str>().copied();
+        let caught = std::panic::catch_unwind(|| {
+            run_chunks(2, 8, &pool, |(), ci| {
+                if ci == 5 {
+                    panic!("chunk five failed")
+                } else {
+                    ci
+                }
+            })
+        })
+        .unwrap_err();
+        assert_eq!(message(caught), Some("chunk five failed"));
+        let caught = std::panic::catch_unwind(|| {
+            try_run_chunks::<_, _, usize, (), _>(2, 8, &pool, |(), ci| {
+                if ci == 3 {
+                    panic!("chunk three failed")
+                }
+                Ok(ci)
+            })
+        })
+        .unwrap_err();
+        assert_eq!(message(caught), Some("chunk three failed"));
     }
 
     mod properties {

@@ -4,8 +4,6 @@
 //! comparison, and histogram binning for the Figure-7 per-axis sample-count
 //! plots.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean, or `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
@@ -134,7 +132,7 @@ pub fn median(xs: &[f64]) -> Option<f64> {
 /// assert_eq!(h.counts()[7], 1);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -9,8 +9,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_spatial::Vec3;
 
 use crate::channel::WifiChannel;
@@ -25,7 +23,7 @@ use crate::channel::WifiChannel;
 /// let mac: MacAddress = "aa:bb:cc:00:11:22".parse().unwrap();
 /// assert_eq!(mac.to_string(), "aa:bb:cc:00:11:22");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddress(pub [u8; 6]);
 
 impl MacAddress {
@@ -93,7 +91,7 @@ impl FromStr for MacAddress {
 
 /// A service set identifier — human-readable network name, possibly shared
 /// by several physical radios (mesh nodes, dual-band APs).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ssid(String);
 
 impl Ssid {
@@ -136,7 +134,7 @@ impl From<&str> for Ssid {
 ///
 /// Position is in the scan-volume frame (meters); APs generally sit outside
 /// the scan volume, elsewhere in the building.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessPoint {
     /// Unique hardware address — the grouping key for the ML layer.
     pub mac: MacAddress,

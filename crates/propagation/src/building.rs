@@ -17,7 +17,6 @@
 //! and SSIDs are reused across part of the fleet.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use aerorem_numerics::dist;
 use aerorem_spatial::{Aabb, Vec3};
@@ -43,7 +42,7 @@ use crate::walls::{Material, Wall};
 /// let env = SyntheticBuilding::paper_like().generate(Aabb::paper_volume(), &mut rng);
 /// assert_eq!(env.access_points().len(), 73);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticBuilding {
     /// Number of access points (the paper saw 73 MACs).
     pub n_aps: usize,

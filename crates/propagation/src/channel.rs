@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Occupied bandwidth of one 802.11b/g channel in MHz.
 pub const WIFI_CHANNEL_WIDTH_MHZ: f64 = 22.0;
 
@@ -30,7 +28,7 @@ pub const WIFI_CHANNEL_SPACING_MHZ: f64 = 5.0;
 /// assert!(ch6.overlaps(WifiChannel::new(8).unwrap()));
 /// assert!(!ch6.overlaps(WifiChannel::new(11).unwrap()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WifiChannel(u8);
 
 impl WifiChannel {
@@ -136,7 +134,7 @@ pub fn band_overlap_fraction(a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64) -> f64 
 
 /// An nRF24 (Crazyradio) channel: 1 MHz spacing from 2400 MHz, numbers
 /// 0–125 covering 2400–2525 MHz (§II-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NrfChannel(u8);
 
 impl NrfChannel {

@@ -4,8 +4,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_spatial::Vec3;
 use rand::Rng;
 
@@ -91,7 +89,7 @@ impl Clone for LinkCache {
 /// let far = env.mean_rss(&env.access_points()[0], Vec3::new(0.0, 0.0, 2.0));
 /// assert!(near > far);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RadioEnvironment {
     aps: Vec<AccessPoint>,
     walls: Vec<Wall>,
@@ -99,7 +97,6 @@ pub struct RadioEnvironment {
     shadowing: ShadowingField,
     fading: FadingModel,
     noise_floor_dbm: f64,
-    #[serde(skip)]
     link_cache: LinkCache,
 }
 

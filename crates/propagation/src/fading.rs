@@ -7,12 +7,11 @@
 //! sampled envelope is converted to a dB perturbation with zero median.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use aerorem_numerics::dist;
 
 /// A small-scale fading model applied per received beacon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FadingModel {
     /// No fast fading: the sample equals the large-scale mean.
     None,

@@ -15,8 +15,6 @@
 //!    noise figure on *every* channel. This is why even a 2525 MHz carrier
 //!    (above all Wi-Fi channels) still suppresses detections.
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_spatial::Vec3;
 
 use crate::channel::{NrfChannel, WifiChannel};
@@ -44,7 +42,7 @@ pub fn power_sum_dbm(levels: &[f64]) -> f64 {
 }
 
 /// A continuous-wave-ish in-band interferer (the Crazyradio while polling).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterferenceSource {
     /// Carrier channel on the nRF24 grid.
     pub carrier: NrfChannel,

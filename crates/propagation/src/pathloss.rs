@@ -5,8 +5,6 @@
 //! (a COST-231 multi-wall flavour, where the wall term comes from
 //! [`crate::walls`] rather than from the model itself).
 
-use serde::{Deserialize, Serialize};
-
 /// Speed of light in m/s.
 const C: f64 = 299_792_458.0;
 
@@ -34,7 +32,7 @@ pub fn free_space_db(distance_m: f64, freq_mhz: f64) -> f64 {
 /// let far = model.loss_db(10.0, 2437.0);
 /// assert!(far > near);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PathLossModel {
     /// Free-space (Friis) propagation — the LoS baseline.
     FreeSpace,

@@ -9,7 +9,6 @@
 //! interference collapse (Figure 5).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use aerorem_numerics::dist;
 use aerorem_spatial::Vec3;
@@ -21,7 +20,7 @@ use crate::interference::{combined_noise_dbm, InterferenceSource};
 
 /// One row of a scan result — the paper's
 /// `⟨ssid, rssi, mac, channel⟩` tuple (§III-A).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BeaconObservation {
     /// Network name as advertised.
     pub ssid: Ssid,
@@ -34,7 +33,7 @@ pub struct BeaconObservation {
 }
 
 /// Configuration of one AP scan sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanConfig {
     /// Channels visited, in order. Defaults to 1–13.
     pub channels: Vec<WifiChannel>,

@@ -14,8 +14,6 @@
 //!   renormalized so the marginal variance stays `σ²` everywhere;
 //! * each AP gets an independent field via its `ap_seed`.
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_spatial::Vec3;
 
 /// A deterministic, spatially correlated Gaussian field in dB.
@@ -32,7 +30,7 @@ use aerorem_spatial::Vec3;
 /// assert!((a - b).abs() < 1.0, "nearby samples are strongly correlated");
 /// assert_eq!(a, field.sample(1, Vec3::ZERO), "deterministic");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowingField {
     sigma_db: f64,
     correlation_m: f64,

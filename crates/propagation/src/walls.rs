@@ -7,13 +7,11 @@
 //! UAV B's measurements are taken" (§III-A); [`crate::building`] encodes it
 //! as a thicker, lossier slab on that side of the room.
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_spatial::{Aabb, Vec3};
 
 /// A material preset for walls and floors, carrying a typical 2.4 GHz
 /// per-traversal attenuation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Material {
     /// Plasterboard / drywall partition (~3 dB).
     Drywall,
@@ -41,7 +39,7 @@ impl Material {
 }
 
 /// An attenuating axis-aligned slab.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Wall {
     /// The slab's extent.
     pub slab: Aabb,

@@ -9,15 +9,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_propagation::channel::NrfChannel;
 use aerorem_propagation::InterferenceSource;
 use aerorem_spatial::Vec3;
 
 /// A radio address shared by a dongle/UAV pair (the 5-byte CRTP address,
 /// e.g. `0xE7E7E7E701`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RadioAddress(pub u64);
 
 impl RadioAddress {
@@ -47,7 +45,7 @@ impl fmt::Display for RadioAddress {
 /// radio.set_transmitting(false); // the paper's radio-off-while-scanning rule
 /// assert!(radio.interference().is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Crazyradio {
     channel: NrfChannel,
     position: Vec3,

@@ -7,9 +7,6 @@
 
 use std::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-
 /// Maximum CRTP payload length in bytes.
 pub const MAX_PAYLOAD: usize = 30;
 
@@ -24,7 +21,7 @@ pub const MAX_FRAGMENT_DATA: usize = MAX_PAYLOAD - FRAGMENT_HEADER_LEN;
 pub const MAX_MESSAGE_LEN: usize = 255 * MAX_FRAGMENT_DATA;
 
 /// The CRTP ports used by the Crazyflie firmware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CrtpPort {
     /// Console text output (port 0) — the paper's scan results travel here.
@@ -127,7 +124,7 @@ impl std::error::Error for CrtpError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrtpPacket {
     port: CrtpPort,
     channel: u8,
@@ -183,13 +180,13 @@ impl CrtpPacket {
     }
 
     /// Serializes to the wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_len());
         // Link bits 0b11 per the on-air format.
         let header = ((self.port as u8) << 4) | 0b1100 | self.channel;
-        buf.put_u8(header);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+        buf.push(header);
+        buf.extend_from_slice(&self.payload);
+        buf
     }
 
     /// Parses a packet from wire bytes.

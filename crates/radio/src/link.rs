@@ -11,8 +11,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::crtp::CrtpPacket;
 
 /// The Crazyflie 2021.06 stock uplink queue depth (packets).
@@ -23,7 +21,7 @@ pub const DEFAULT_TX_QUEUE_SIZE: usize = 16;
 pub const PATCHED_TX_QUEUE_SIZE: usize = 128;
 
 /// Link configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Uplink (UAV → base station) queue depth in packets.
     pub tx_queue_size: usize,

@@ -1,25 +1,24 @@
-//! Batched query execution: the thread-per-core request loop.
+//! Batched query execution on the workspace executor.
 //!
-//! Callers submit queries in batches ([`RemStore::submit_batch`]); the
-//! engine routes each query to a worker and returns answers in
-//! **submission order**. Routing is shard-affine: a point-shaped query
-//! (point lookup, best-AP) goes to the worker owning the shard of the
-//! brick its cell lives in, so on a multi-core host each brick is read
-//! (mostly) by one core; region-shaped queries (box stats, coverage) are
-//! spread round-robin since they touch the per-AP octrees, not the
-//! shards.
+//! Callers submit queries in batches ([`RemStore::submit_batch`]) and get
+//! answers back in **submission order**. A batch is cut into chunks of
+//! [`SERVE_GRANULARITY`] queries and run through `numerics::exec`, the same
+//! executor the map pipeline uses: a one-chunk batch (every batch the
+//! daemon drains from one socket read) answers inline on the caller's
+//! thread, and a larger one spreads its chunks over the executor's workers.
 //!
 //! Determinism: every answer is a pure function of (store, query) — see
-//! [`RemStore::answer`] — and workers scatter answers back into each
-//! query's original slot. Worker count and interleaving therefore cannot
-//! change any response bit, and `ExecPolicy::Serial` and
-//! `ExecPolicy::Parallel` produce identical batches (test-enforced, and
-//! re-checked by the `serve` bench on every run).
+//! [`RemStore::answer`] — and the executor reassembles chunks in input
+//! order. Worker count and interleaving therefore cannot change any
+//! response bit, and `ExecPolicy::Serial` and `ExecPolicy::Parallel`
+//! produce identical batches (test-enforced, and re-checked by the `serve`
+//! bench on every run).
 
 use std::any::Any;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 
+use aerorem_numerics::exec::{self, Granularity, ScratchPool};
 use aerorem_numerics::ExecPolicy;
 
 use crate::query::{Query, Response};
@@ -32,12 +31,6 @@ pub enum ServeError {
     /// A worker panicked mid-batch; carries the panic message when the
     /// payload was a string, a placeholder otherwise.
     WorkerPanic(String),
-    /// A response slot was never filled: the routing invariant (every
-    /// query assigned to exactly one worker) broke.
-    MissingResponse {
-        /// Batch slot whose response went missing.
-        slot: usize,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -45,9 +38,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::WorkerPanic(msg) => {
                 write!(f, "a serve worker panicked while answering: {msg}")
-            }
-            ServeError::MissingResponse { slot } => {
-                write!(f, "no worker produced a response for batch slot {slot}")
             }
         }
     }
@@ -66,107 +56,45 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Minimum queries per shard before the parallel arm pays for itself.
+/// How [`RemStore::submit_batch`] cuts a batch into executor chunks:
+/// exactly 8 192 queries each (the last chunk may be shorter).
 ///
 /// Answering one point query costs well under a microsecond, so a worker
-/// thread must receive thousands of them to amortize its spawn/join cost.
-/// Below this per-shard load the batch runs inline on the caller's thread
-/// even under `ExecPolicy::Parallel` — responses are identical either way
-/// (the two arms are bit-identical by contract), only the wall time
-/// changes. BENCH_3 measured the crossover: 1024-query batches lost to
-/// serial on nearly every variant, 65536-query batches won.
-pub const SERVE_MIN_QUERIES_PER_SHARD: usize = 2048;
+/// thread must receive thousands of them to amortize its spawn and join.
+/// The floor is the crossover BENCH_3 measured (1 024-query batches lost
+/// to serial, 65 536-query batches won), so a batch reaches a second
+/// worker only from 8 193 queries up. Responses are identical whatever the
+/// chunking; only the wall time changes.
+pub const SERVE_GRANULARITY: Granularity = Granularity::new(8192, 8192);
 
 impl RemStore {
-    /// Whether a batch of `batch_len` queries is large enough for the
-    /// parallel arm to beat inline serial execution on this store — the
-    /// predicate behind [`RemStore::submit_batch`]'s small-batch fallback.
-    pub fn parallel_worthwhile(&self, batch_len: usize) -> bool {
-        batch_len / self.shard_count().max(1) >= SERVE_MIN_QUERIES_PER_SHARD
-    }
-
-    /// Worker index for `query` given `workers` total — shard-affine for
-    /// point-shaped queries, round-robin (by batch slot) otherwise.
-    fn route(&self, query: &Query, slot: usize, workers: usize) -> usize {
-        let cell = match *query {
-            Query::Point { pos, .. } | Query::BestAp { pos } => self.layout().cell_index_of(pos),
-            _ => None,
-        };
-        match cell {
-            Some(c) => self.shard_of_cell(c) % workers,
-            None => slot % workers,
-        }
-    }
-
     /// Answers a batch of queries, preserving order: `result[i]` answers
     /// `queries[i]`.
     ///
-    /// Under [`ExecPolicy::Serial`] (or a single-threaded pool) the batch
-    /// runs inline on the caller's thread — as do small parallel batches
-    /// below [`SERVE_MIN_QUERIES_PER_SHARD`] queries per shard, where
-    /// thread spawn/join overhead would exceed the query work. Otherwise
-    /// one scoped worker thread per available core drains its routed share
-    /// of the batch. All arms return bit-identical responses.
+    /// The batch runs through `numerics::exec` in [`SERVE_GRANULARITY`]
+    /// chunks. Under [`ExecPolicy::Serial`], or when the batch fits in one
+    /// chunk, it answers inline on the caller's thread; otherwise the
+    /// executor's workers claim the chunks. All arms return bit-identical
+    /// responses.
     ///
     /// # Errors
     ///
     /// A panic inside [`RemStore::answer`] — on any worker, in any arm —
-    /// is caught and surfaced as [`ServeError::WorkerPanic`]: that batch
-    /// fails, the process does not. The store stays usable afterwards.
+    /// is caught and surfaced as [`ServeError::WorkerPanic`] with the
+    /// panic's own message: that batch fails, the process does not. The
+    /// store stays usable afterwards.
     pub fn submit_batch(
         &self,
         queries: &[Query],
         policy: ExecPolicy,
     ) -> Result<Vec<Response>, ServeError> {
-        let workers = match policy {
-            ExecPolicy::Serial => 1,
-            ExecPolicy::Parallel if !self.parallel_worthwhile(queries.len()) => 1,
-            ExecPolicy::Parallel => policy.threads(),
-        }
-        .min(queries.len())
-        .max(1);
-        if workers == 1 {
-            return panic::catch_unwind(AssertUnwindSafe(|| {
-                queries.iter().map(|q| self.answer(q)).collect()
-            }))
-            .map_err(|payload| ServeError::WorkerPanic(panic_message(payload.as_ref())));
-        }
-
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for (slot, q) in queries.iter().enumerate() {
-            assignment[self.route(q, slot, workers)].push(slot); // lint:allow(panic-reach) — route() ends in `% workers`; assignment has exactly `workers` buckets
-        }
-
-        let mut results: Vec<Option<Response>> = vec![None; queries.len()];
-        let joined = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = assignment
-                .iter()
-                .map(|slots| {
-                    scope.spawn(move |_| {
-                        slots
-                            .iter()
-                            .map(|&slot| (slot, self.answer(&queries[slot]))) // lint:allow(panic-reach) — slots come from enumerate() over queries
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // Join every handle so a panicking worker cannot leak into the
-            // scope teardown; panics surface here as per-handle Errs.
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        })
-        .map_err(|payload| ServeError::WorkerPanic(panic_message(payload.as_ref())))?;
-        for join in joined {
-            let output = join
-                .map_err(|payload| ServeError::WorkerPanic(panic_message(payload.as_ref())))?;
-            for (slot, response) in output {
-                results[slot] = Some(response); // lint:allow(panic-reach) — slot comes from enumerate() over queries; results is built with queries.len()
-            }
-        }
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(slot, r)| r.ok_or(ServeError::MissingResponse { slot }))
-            .collect()
+        let no_scratch = ScratchPool::new(|| ());
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            exec::map_vec_with(policy, SERVE_GRANULARITY, &no_scratch, queries, |(), q| {
+                self.answer(q)
+            })
+        }))
+        .map_err(|payload| ServeError::WorkerPanic(panic_message(payload.as_ref())))
     }
 }
 
@@ -198,10 +126,7 @@ mod tests {
             .collect();
         RemStore::build(
             &RemSnapshot::new(grids).unwrap(),
-            StoreConfig {
-                brick_edge: 4,
-                shard_count: 3,
-            },
+            StoreConfig { brick_edge: 4 },
         )
         .unwrap()
     }
@@ -245,11 +170,35 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_batches_are_bit_identical() {
-        let store = store();
-        let batch = mixed_batch(&store);
-        let serial = store.submit_batch(&batch, ExecPolicy::Serial).unwrap();
-        let parallel = store.submit_batch(&batch, ExecPolicy::Parallel).unwrap();
-        assert_eq!(serial, parallel);
+        // Three executor chunks, the last one partial, so the parallel arm
+        // reaches more than one worker on a multi-core host.
+        let mut store = store();
+        let mixed = mixed_batch(&store);
+        let len = 2 * SERVE_GRANULARITY.min_chunk + mixed.len();
+        let batch: Vec<Query> = mixed.iter().cycle().take(len).copied().collect();
+        assert_eq!(
+            exec::plan(ExecPolicy::Serial, len, SERVE_GRANULARITY).chunks,
+            3
+        );
+        let singly: Vec<Response> = batch.iter().map(|q| store.answer(q)).collect();
+        assert_eq!(
+            store.submit_batch(&batch, ExecPolicy::Serial).unwrap(),
+            singly
+        );
+        assert_eq!(
+            store.submit_batch(&batch, ExecPolicy::Parallel).unwrap(),
+            singly
+        );
+
+        // A panic on a worker thread keeps its message through the split.
+        store.panic_mac = Some(MacAddress::from_index(2));
+        let err = store
+            .submit_batch(&batch, ExecPolicy::Parallel)
+            .unwrap_err();
+        assert!(
+            matches!(err, ServeError::WorkerPanic(ref msg) if msg.contains("poisoned AP")),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
@@ -261,20 +210,26 @@ mod tests {
 
     #[test]
     fn small_batches_fall_back_to_serial_at_the_pinned_threshold() {
-        // The fixture has 3 shards, so the crossover sits at exactly
-        // 3 * SERVE_MIN_QUERIES_PER_SHARD queries.
+        // Up to one chunk runs inline under Parallel; one query more is a
+        // second chunk.
         let store = store();
-        let crossover = 3 * SERVE_MIN_QUERIES_PER_SHARD;
-        assert!(!store.parallel_worthwhile(0));
-        assert!(!store.parallel_worthwhile(1024));
-        assert!(!store.parallel_worthwhile(crossover - 1));
-        assert!(store.parallel_worthwhile(crossover));
-        assert!(store.parallel_worthwhile(crossover + 1));
+        let floor = SERVE_GRANULARITY.min_chunk;
+        assert_eq!(floor, 8192);
+        for len in [0, 1024, floor] {
+            assert_eq!(
+                exec::plan(ExecPolicy::Parallel, len, SERVE_GRANULARITY).workers,
+                1
+            );
+        }
+        assert_eq!(
+            exec::plan(ExecPolicy::Parallel, floor + 1, SERVE_GRANULARITY).chunks,
+            2
+        );
 
         // A sub-threshold batch under Parallel takes the inline serial
         // path; the responses must still bit-match the Serial arm.
         let batch = mixed_batch(&store);
-        assert!(batch.len() < crossover);
+        assert!(batch.len() < floor);
         assert_eq!(
             store.submit_batch(&batch, ExecPolicy::Parallel).unwrap(),
             store.submit_batch(&batch, ExecPolicy::Serial).unwrap(),
@@ -306,22 +261,5 @@ mod tests {
         ];
         let responses = store.submit_batch(&safe, ExecPolicy::Serial).unwrap();
         assert_eq!(responses.len(), 2);
-    }
-
-    #[test]
-    fn routing_covers_every_query_exactly_once() {
-        // Exercise the multi-worker path directly, independent of how
-        // many cores the host has.
-        let store = store();
-        let batch = mixed_batch(&store);
-        for workers in [2, 3, 5] {
-            let mut seen = vec![0usize; batch.len()];
-            for (slot, q) in batch.iter().enumerate() {
-                let w = store.route(q, slot, workers);
-                assert!(w < workers);
-                seen[slot] += 1;
-            }
-            assert!(seen.iter().all(|&n| n == 1));
-        }
     }
 }

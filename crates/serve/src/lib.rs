@@ -1,5 +1,5 @@
-//! REM-as-a-service: the sharded in-memory query engine over snapshot
-//! grids.
+//! REM-as-a-service: the in-memory query engine over snapshot grids, its
+//! wire protocol and its daemon.
 //!
 //! The source paper ends where the fine-grained 3D REM has been
 //! generated; this crate is the layer that *serves* it. The flow
@@ -10,10 +10,11 @@
 //!     │  RemSnapshot::load — versioned, checksummed, endian-stable
 //!     ▼
 //! RemStore::build
-//!     ├─ bricked shards      — point / best-AP lookups, shard-affine
+//!     ├─ per-AP bricks       — point / best-AP lookups
 //!     └─ per-AP octrees      — box stats / coverage isosurfaces
 //!     ▼
 //! RemStore::submit_batch(&[Query], ExecPolicy) → Result<Vec<Response>, ServeError>
+//!     └─ numerics::exec, SERVE_GRANULARITY chunks (one chunk runs inline)
 //! ```
 //!
 //! Batches answer under either [`ExecPolicy`] arm with bit-identical
@@ -61,7 +62,7 @@ pub mod workload;
 pub use aerorem_numerics::ExecPolicy;
 pub use client::{ClientError, WireClient};
 pub use daemon::{Daemon, DaemonConfig, Listener, ServerHandle};
-pub use engine::{ServeError, SERVE_MIN_QUERIES_PER_SHARD};
+pub use engine::{ServeError, SERVE_GRANULARITY};
 pub use query::{Query, Response};
 pub use store::{RemStore, StoreConfig, StoreError};
 pub use wire::{Frame, FrameKind, Message, WireError};

@@ -1,13 +1,12 @@
-//! The sharded in-memory REM store.
+//! The bricked in-memory REM store.
 //!
 //! A [`RemStore`] ingests a [`RemSnapshot`] (all grids must share one
 //! volume and lattice) and lays the voxels out twice:
 //!
-//! * **Bricked shards** — the lattice is cut into cubic *bricks* of
-//!   `brick_edge`³ cells; brick `b` lives in shard `b % shard_count`.
+//! * **Bricks** — the lattice is cut into cubic *bricks* of
+//!   `brick_edge`³ cells, stored brick after brick in one array per AP.
 //!   Point-shaped queries (point lookup, best-AP) touch exactly one brick
-//!   per AP, so a multi-worker request loop can route each query to the
-//!   worker that owns its shard and stay cache-local on the hot path.
+//!   per AP, so a cell's neighbours share its cache lines on the hot path.
 //! * **Flat per-AP arrays + octrees** — region-shaped queries (box
 //!   statistics, coverage isosurfaces) run against a per-AP
 //!   [`VoxelOctree`] over the original row-major array, where aggregate
@@ -31,18 +30,13 @@ use crate::query::{Query, Response};
 pub struct StoreConfig {
     /// Cells per brick edge; bricks are `brick_edge`³ cells. Minimum 1.
     pub brick_edge: usize,
-    /// Number of shards bricks are distributed over. Minimum 1.
-    pub shard_count: usize,
 }
 
 impl Default for StoreConfig {
     /// 8³-cell bricks (4 KiB of f64 per AP — half a typical L1 line
-    /// budget) over 4 shards.
+    /// budget).
     fn default() -> Self {
-        StoreConfig {
-            brick_edge: 8,
-            shard_count: 4,
-        }
+        StoreConfig { brick_edge: 8 }
     }
 }
 
@@ -58,7 +52,7 @@ pub enum StoreError {
     },
     /// Two grids share a MAC address.
     DuplicateMac(MacAddress),
-    /// `brick_edge` or `shard_count` was zero.
+    /// `brick_edge` was zero.
     BadConfig,
 }
 
@@ -71,26 +65,14 @@ impl fmt::Display for StoreError {
                 "grid {index} disagrees with grid 0 on volume or dimensions"
             ),
             StoreError::DuplicateMac(mac) => write!(f, "duplicate grid for {mac}"),
-            StoreError::BadConfig => write!(f, "brick_edge and shard_count must be >= 1"),
+            StoreError::BadConfig => write!(f, "brick_edge must be >= 1"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
 
-/// One shard: the bricks it owns, per AP, slot-major.
-///
-/// Shard `s` owns bricks `s, s + shard_count, s + 2·shard_count, …`; the
-/// brick with global id `b` sits at local slot `b / shard_count`. Each
-/// brick is `brick_edge`³ values; cells beyond the lattice edge are
-/// NaN-padded so every brick has the same stride.
-#[derive(Debug, Clone)]
-struct Shard {
-    /// `per_ap[ap][slot * brick_volume + offset]`.
-    per_ap: Vec<Vec<f64>>,
-}
-
-/// A read-only, sharded, octree-indexed store of one REM snapshot.
+/// A read-only, bricked, octree-indexed store of one REM snapshot.
 ///
 /// # Examples
 ///
@@ -123,7 +105,10 @@ pub struct RemStore {
     flat: Vec<Vec<f64>>,
     /// Per-AP aggregate octrees over `flat`, aligned with `macs`.
     octrees: Vec<VoxelOctree>,
-    shards: Vec<Shard>,
+    /// Per-AP bricked copies of `flat`: `bricks[ap][brick * brick_edge³ +
+    /// offset]`. Cells beyond the lattice edge are NaN-padded so every
+    /// brick has the same stride.
+    bricks: Vec<Vec<f64>>,
     brick_edge: usize,
     /// Brick-grid dimensions (bricks per axis).
     brick_dims: (usize, usize, usize),
@@ -144,9 +129,9 @@ impl RemStore {
     /// # Errors
     ///
     /// Returns the specific [`StoreError`] for empty snapshots, shape
-    /// mismatches, duplicate MACs, or a zero in the config.
+    /// mismatches, duplicate MACs, or a zero brick edge.
     pub fn build(snapshot: &RemSnapshot, config: StoreConfig) -> Result<Self, StoreError> {
-        if config.brick_edge == 0 || config.shard_count == 0 {
+        if config.brick_edge == 0 {
             return Err(StoreError::BadConfig);
         }
         let grids = snapshot.grids();
@@ -179,29 +164,19 @@ impl RemStore {
         let total_bricks = brick_dims.0 * brick_dims.1 * brick_dims.2;
         let brick_vol = b * b * b;
 
-        let mut shards: Vec<Shard> = (0..config.shard_count)
-            .map(|s| {
-                let local = (total_bricks + config.shard_count - 1 - s) / config.shard_count;
-                Shard {
-                    per_ap: vec![vec![f64::NAN; local * brick_vol]; macs.len()],
-                }
-            })
-            .collect();
+        let mut bricks = vec![vec![f64::NAN; total_bricks * brick_vol]; macs.len()];
         for brick_id in 0..total_bricks {
-            let shard_idx = brick_id % config.shard_count;
-            let slot = brick_id / config.shard_count;
             let bx = brick_id % brick_dims.0;
             let by = (brick_id / brick_dims.0) % brick_dims.1;
             let bz = brick_id / (brick_dims.0 * brick_dims.1);
-            for (ap, values) in flat.iter().enumerate() {
-                let dst = &mut shards[shard_idx].per_ap[ap];
+            for (dst, values) in bricks.iter_mut().zip(&flat) {
                 for lz in 0..b.min(nz - bz * b) {
                     for ly in 0..b.min(ny - by * b) {
                         for lx in 0..b.min(nx - bx * b) {
                             let (ix, iy, iz) = (bx * b + lx, by * b + ly, bz * b + lz);
                             let src = iz * nx * ny + iy * nx + ix;
                             let off = lz * b * b + ly * b + lx;
-                            dst[slot * brick_vol + off] = values[src];
+                            dst[brick_id * brick_vol + off] = values[src];
                         }
                     }
                 }
@@ -213,7 +188,7 @@ impl RemStore {
             macs,
             flat,
             octrees,
-            shards,
+            bricks,
             brick_edge: b,
             brick_dims,
             #[cfg(test)]
@@ -236,11 +211,6 @@ impl RemStore {
         &self.macs
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Cells per brick edge.
     pub fn brick_edge(&self) -> usize {
         self.brick_edge
@@ -261,24 +231,16 @@ impl RemStore {
         (brick, off)
     }
 
-    /// Shard index owning the brick of a flat cell index — the routing
-    /// key the batch engine uses for point-shaped queries.
-    pub(crate) fn shard_of_cell(&self, cell: usize) -> usize {
-        self.brick_of(cell).0 % self.shards.len()
-    }
-
-    /// Reads one (cell, ap) value through the bricked shard layout.
+    /// Reads one (cell, ap) value through the bricked layout.
     fn brick_value(&self, cell: usize, ap: usize) -> f64 {
         let (brick, off) = self.brick_of(cell);
-        let shard = &self.shards[brick % self.shards.len()]; // lint:allow(panic-reach) — index is reduced `% shards.len()`, and build() rejects shard_count == 0
-        let slot = brick / self.shards.len();
         let brick_vol = self.brick_edge * self.brick_edge * self.brick_edge;
-        shard.per_ap[ap][slot * brick_vol + off] // lint:allow(panic-reach) — ap comes from ap_index(); build() sizes each shard to its ceil-divided brick share, so slot·vol+off is in range
+        self.bricks[ap][brick * brick_vol + off] // lint:allow(panic-reach) — ap comes from ap_index(); build() gives every AP a slot for every brick of the lattice, so brick·vol+off is in range
     }
 
     /// Point lookup: predicted RSS of `ap` at `pos`, `None` outside the
     /// volume, for an unknown AP, or where the map has no finite value.
-    /// Served from the bricked shards (the hot path the bench drives).
+    /// Served from the bricks (the hot path the bench drives).
     pub fn point(&self, pos: Vec3, ap: MacAddress) -> Option<f64> {
         let ap = self.ap_index(ap)?;
         let cell = self.layout.cell_index_of(pos)?;
@@ -287,8 +249,7 @@ impl RemStore {
     }
 
     /// Best AP at `pos`: the strongest finite prediction, ties toward the
-    /// lowest MAC. All APs of one cell live in the same brick, so this
-    /// stays a single-shard read.
+    /// lowest MAC. Reads one brick per AP.
     pub fn best_ap(&self, pos: Vec3) -> Option<(MacAddress, f64)> {
         let cell = self.layout.cell_index_of(pos)?;
         let mut best: Option<(MacAddress, f64)> = None;
@@ -401,14 +362,7 @@ mod tests {
         let err = RemStore::build(&dup, StoreConfig::default()).unwrap_err();
         assert_eq!(err, StoreError::DuplicateMac(MacAddress::from_index(1)));
         let snap = RemSnapshot::new(vec![synth_grid(1, (4, 4, 4), 0.0)]).unwrap();
-        let err = RemStore::build(
-            &snap,
-            StoreConfig {
-                brick_edge: 0,
-                shard_count: 1,
-            },
-        )
-        .unwrap_err();
+        let err = RemStore::build(&snap, StoreConfig { brick_edge: 0 }).unwrap_err();
         assert_eq!(err, StoreError::BadConfig);
     }
 
@@ -423,15 +377,10 @@ mod tests {
 
     #[test]
     fn brick_reads_match_flat_reads_for_every_cell_and_config() {
-        // Brick edges that divide the dims unevenly, shard counts from 1
-        // (degenerate) past the brick count.
-        for &(brick_edge, shard_count) in
-            &[(1, 1), (3, 2), (4, 4), (8, 3), (5, 7), (16, 64)]
-        {
-            let store = two_ap_store(StoreConfig {
-                brick_edge,
-                shard_count,
-            });
+        // Brick edges from 1 (degenerate) through ones that divide the dims
+        // unevenly to one larger than every dim.
+        for brick_edge in [1, 3, 4, 5, 8, 16] {
+            let store = two_ap_store(StoreConfig { brick_edge });
             for ap in 0..store.macs.len() {
                 for cell in 0..store.layout.cell_count() {
                     let flat = store.flat[ap][cell];
@@ -439,7 +388,7 @@ mod tests {
                     assert_eq!(
                         flat.to_bits(),
                         brick.to_bits(),
-                        "cell {cell} ap {ap} edge {brick_edge} shards {shard_count}"
+                        "cell {cell} ap {ap} edge {brick_edge}"
                     );
                 }
             }
@@ -447,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn point_queries_answer_from_shards() {
+    fn point_queries_answer_from_bricks() {
         let store = two_ap_store(StoreConfig::default());
         let mac = MacAddress::from_index(1);
         let pos = Vec3::new(1.0, 1.3, 0.9);

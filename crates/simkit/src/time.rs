@@ -17,7 +17,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// let t = SimTime::ZERO + SimDuration::from_secs_f64(1.5);
 /// assert_eq!(t.as_millis(), 1500);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -87,7 +87,7 @@ impl fmt::Display for SimTime {
 /// let travel = SimDuration::from_secs(4);
 /// assert_eq!((scan + travel).as_secs_f64(), 7.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vec3::Vec3;
 
 /// An axis-aligned box `[min, max]` in meters.
@@ -21,7 +19,7 @@ use crate::vec3::Vec3;
 /// assert_eq!(v.corners().len(), 8);
 /// assert!(v.contains(v.center()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     min: Vec3,
     max: Vec3,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::aabb::Aabb;
 use crate::vec3::Vec3;
 
@@ -59,7 +57,7 @@ impl std::error::Error for GridError {}
 /// assert_eq!(fleets[0].len(), 36);
 /// assert_eq!(fleets[1].len(), 36);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaypointGrid {
     volume: Aabb,
     dims: (usize, usize, usize),

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vec3::Vec3;
 
 /// Vehicle attitude as roll, pitch, yaw Euler angles in radians.
@@ -11,7 +9,7 @@ use crate::vec3::Vec3;
 /// §II-C of the paper: when no setpoint is received for over 500 ms, the UAV
 /// "will set its attitude angles (pitch, roll and yaw) to 0 in order to keep
 /// itself stabilized" — i.e. it levels out to [`Attitude::LEVEL`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Attitude {
     /// Roll about the body x axis (radians).
     pub roll: f64,
@@ -60,7 +58,7 @@ impl fmt::Display for Attitude {
 
 /// A position plus heading, the unit the base station sends as a waypoint:
 /// the paper's client configures per-UAV "starting position and yaw" (§III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose {
     /// Position in the volume frame (meters).
     pub position: Vec3,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A 3D vector / point in meters, using the paper's axes: x along the long
 /// side of the volume, y along the short side, z up.
 ///
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.norm(), 5.0);
 /// assert_eq!(a.dot(Vec3::Z), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component (meters).
     pub x: f64,

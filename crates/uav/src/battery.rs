@@ -9,12 +9,10 @@
 //!   flying 36 waypoints (4 s travel + 3 s scan) — "the UAVs were expected
 //!   to operate at their operating limits".
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_simkit::SimDuration;
 
 /// Static battery/power configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryConfig {
     /// Usable capacity in mAh.
     pub capacity_mah: f64,
@@ -104,7 +102,7 @@ impl PowerState {
 /// assert!(b.remaining_fraction() < 1.0);
 /// assert!(!b.is_erratic());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     config: BatteryConfig,
     remaining_mah: f64,

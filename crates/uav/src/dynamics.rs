@@ -8,13 +8,12 @@
 //! shut down.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use aerorem_numerics::dist;
 use aerorem_spatial::{Attitude, Vec3};
 
 /// Physical/controller limits of the airframe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicsConfig {
     /// Maximum horizontal/vertical speed, m/s.
     pub max_speed: f64,
@@ -80,7 +79,7 @@ pub enum ControlInput {
 /// }
 /// assert!(q.position().distance(Vec3::new(1.0, 0.0, 1.0)) < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quadrotor {
     config: DynamicsConfig,
     position: Vec3,

@@ -7,12 +7,10 @@
 //! FreeRTOS task that "will feed back the scanning position every 100 ms to
 //! the UAV's commander during such a scan".
 
-use serde::{Deserialize, Serialize};
-
 use aerorem_simkit::SimDuration;
 
 /// All firmware knobs the paper touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FirmwareConfig {
     /// `COMMANDER_WDT_TIMEOUT_SHUTDOWN`: no setpoint for this long → motors
     /// shut down.

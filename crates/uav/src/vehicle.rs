@@ -14,18 +14,7 @@ use crate::dynamics::{ControlInput, DynamicsConfig, Quadrotor};
 use crate::firmware::FirmwareConfig;
 
 /// Identifier of one UAV in the fleet ("UAV A", "UAV B", …).
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UavId(pub u8);
 
 impl fmt::Display for UavId {

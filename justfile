@@ -41,13 +41,14 @@ bench-check:
     AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench kriging_fill
     AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench rem_lattice
 
-# Serving-layer gate (PR 6): the aerorem-serve unit tests under both
-# execution-policy arms, plus a smoke-sized run of the serve bench —
+# Serving-layer gate (PR 6): the aerorem-serve unit tests with the
+# detected worker count and with one worker (AEROREM_EXEC_THREADS=1 runs
+# every parallel call inline), plus a smoke-sized run of the serve bench —
 # every snapshot round-trip and serial≡parallel identity assertion
 # executes, but BENCH_3.json is left alone.
 serve-check:
     cargo test -q -p aerorem-serve
-    cargo test -q -p aerorem-serve --no-default-features
+    AEROREM_EXEC_THREADS=1 cargo test -q -p aerorem-serve
     AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench serve
 
 # Network serving gate (PR 9): the wire codec property tests, the
@@ -56,7 +57,7 @@ serve-check:
 # smoke-sized run of the wire bench; BENCH_6.json is left alone.
 serve-net-check:
     cargo test -q --test wire --test serve_net
-    cargo test -q --no-default-features --test wire --test serve_net
+    AEROREM_EXEC_THREADS=1 cargo test -q --test wire --test serve_net
     AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench wire
 
 # Regenerates the committed bench artifacts at full size: BENCH_2.json
@@ -79,18 +80,18 @@ bench:
 bench-diff:
     ./scripts/bench_diff
 
-# Full-size failure-injection suite under both execution-policy arms
-# (default features = parallel, --no-default-features = serial): retries,
-# lossy-link quarantine, battery abort, checkpoint/resume bit-identity.
+# Full-size failure-injection suite with the detected worker count and
+# with one worker (AEROREM_EXEC_THREADS=1): retries, lossy-link
+# quarantine, battery abort, checkpoint/resume bit-identity.
 faults:
     cargo test -q --test failure_injection
-    cargo test -q --no-default-features --test failure_injection
+    AEROREM_EXEC_THREADS=1 cargo test -q --test failure_injection
 
 # Smoke-sized variant of `faults` for the `check` gate: same assertions,
 # shrunken campaigns (AEROREM_FAULTS_SMOKE=1).
 faults-check:
     AEROREM_FAULTS_SMOKE=1 cargo test -q --test failure_injection
-    AEROREM_FAULTS_SMOKE=1 cargo test -q --no-default-features --test failure_injection
+    AEROREM_FAULTS_SMOKE=1 AEROREM_EXEC_THREADS=1 cargo test -q --test failure_injection
 
 # Serial-vs-parallel pipeline timing table (see EXPERIMENTS.md).
 timing:

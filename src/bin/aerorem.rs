@@ -9,10 +9,10 @@
 //! aerorem demo     [--seed N] [--exec serial|parallel]
 //! aerorem snapshot save --in samples.csv --out rem.snap [--resolution 0.25] [--aps 8]
 //! aerorem snapshot load --in rem.snap
-//! aerorem serve-bench [--in rem.snap] [--queries 200000] [--shards 4] [--batch 8192]
+//! aerorem serve-bench [--in rem.snap] [--queries 200000] [--batch 8192]
 //!                     [--dist zipfian|uniform] [--seed N] [--exec serial|parallel]
 //! aerorem serve    --in rem.snap (--tcp ADDR | --uds PATH) [--name default]
-//!                  [--exec serial|parallel] [--shards 4] [--brick 8]
+//!                  [--exec serial|parallel] [--brick 8]
 //! aerorem serve-client <point|best|stats|coverage|namespaces|load|shutdown>
 //!                  (--tcp ADDR | --uds PATH) [--namespace 0] ...
 //! ```
@@ -28,13 +28,16 @@
 //! the speedup on your machine. `snapshot` freezes fitted REMs into the
 //! versioned binary format of `docs/SNAPSHOT_FORMAT.md` (and inspects
 //! such files); `serve-bench` drives a seeded point-query workload
-//! through the sharded `aerorem-serve` store and reports queries/s.
+//! through the bricked `aerorem-serve` store and reports queries/s.
 //! `serve` exposes a snapshot over the wire protocol of
 //! `docs/WIRE_FORMAT.md` (TCP and/or Unix-domain sockets, hot-swappable
 //! via `serve-client load`), and `serve-client` is the matching one-shot
 //! query tool — `point` reads one voxel, `best` picks the strongest AP,
 //! `stats`/`coverage` aggregate, `namespaces` lists what the daemon
 //! serves, and `shutdown` stops it cleanly.
+//!
+//! Every command accepts only the flags listed for it above: an unknown or
+//! repeated flag is a usage error (exit code 2), never silently ignored.
 
 #![forbid(unsafe_code)]
 
@@ -90,6 +93,11 @@ fn main() -> ExitCode {
         Ok(f) => f,
         Err(e) => return usage(&e),
     };
+    if let Some(known) = known_flags(command, subcommand) {
+        if let Some(unknown) = flags.keys().find(|k| !known.contains(&k.as_str())) {
+            return usage(&format!("{command} does not take --{unknown}"));
+        }
+    }
     let result = match (command.as_str(), subcommand) {
         ("survey", _) => survey(&flags),
         ("evaluate", _) => evaluate(&flags),
@@ -116,6 +124,32 @@ fn main() -> ExitCode {
 }
 
 type Flags = BTreeMap<String, String>;
+
+/// The flags a command reads, `None` for an unknown command (reported by
+/// the dispatch in `main`).
+fn known_flags(command: &str, subcommand: Option<&str>) -> Option<&'static [&'static str]> {
+    Some(match (command, subcommand) {
+        ("survey", _) => &["seed", "waypoints", "uavs", "out"],
+        ("evaluate", _) => &["in", "seed", "min-samples"],
+        ("map", _) => &["in", "out", "mac", "resolution", "confidence", "exec"],
+        ("coverage", _) => &["in", "threshold", "radius"],
+        ("demo", _) => &["seed", "exec"],
+        ("snapshot", Some("save")) => &["in", "out", "resolution", "aps"],
+        ("snapshot", Some("load")) => &["in"],
+        ("serve-bench", _) => &["in", "queries", "batch", "dist", "seed", "exec"],
+        ("serve", _) => &["in", "tcp", "uds", "name", "exec", "brick"],
+        ("serve-client", Some(sub)) => match sub {
+            "point" => &["tcp", "uds", "namespace", "at", "mac"],
+            "best" => &["tcp", "uds", "namespace", "at"],
+            "stats" => &["tcp", "uds", "namespace", "min", "max", "mac"],
+            "coverage" => &["tcp", "uds", "namespace", "mac", "threshold"],
+            "load" => &["tcp", "uds", "namespace", "in", "name"],
+            "namespaces" | "shutdown" => &["tcp", "uds", "namespace"],
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
@@ -544,7 +578,6 @@ fn snapshot_load(flags: &Flags) -> Result<(), String> {
 
 fn serve_bench(flags: &Flags) -> Result<(), String> {
     let queries: usize = flag(flags, "queries", 200_000)?;
-    let shards: usize = flag(flags, "shards", 4)?;
     let batch: usize = flag(flags, "batch", 8192)?;
     let dist: Distribution = flag(flags, "dist", Distribution::Zipfian)?;
     let seed: u64 = flag(flags, "seed", 2206)?;
@@ -562,13 +595,7 @@ fn serve_bench(flags: &Flags) -> Result<(), String> {
     let mut inst = Instrumentation::new();
     let store = inst
         .time("build_store", || {
-            RemStore::build(
-                &snapshot,
-                StoreConfig {
-                    brick_edge: 8,
-                    shard_count: shards,
-                },
-            )
+            RemStore::build(&snapshot, StoreConfig::default())
         })
         .map_err(|e| e.to_string())?;
     let workload = inst.time("generate_workload", || {
@@ -597,11 +624,10 @@ fn serve_bench(flags: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     inst.count("queries", queries as u64);
     eprintln!(
-        "{} store: {} cells x {} APs, {} shard(s), brick edge {}",
+        "{} store: {} cells x {} APs, brick edge {}",
         store.volume(),
         store.layout().cell_count(),
         store.macs().len(),
-        store.shard_count(),
         store.brick_edge()
     );
     println!(
@@ -636,15 +662,11 @@ fn serve(flags: &Flags) -> Result<(), String> {
     let input = required(flags, "in")?;
     let name = flags.get("name").map(String::as_str).unwrap_or("default");
     let policy: ExecPolicy = flag(flags, "exec", ExecPolicy::default())?;
-    let shards: usize = flag(flags, "shards", 4)?;
     let brick: usize = flag(flags, "brick", 8)?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let daemon = Daemon::new(DaemonConfig {
         policy,
-        store: StoreConfig {
-            brick_edge: brick,
-            shard_count: shards,
-        },
+        store: StoreConfig { brick_edge: brick },
     });
     let info = daemon.load(name, &bytes).map_err(|e| e.to_string())?;
     eprintln!(
@@ -831,10 +853,10 @@ fn usage(err: &str) -> ExitCode {
          aerorem demo     [--seed N] [--exec serial|parallel]\n  \
          aerorem snapshot save --in samples.csv --out rem.snap [--resolution 0.25] [--aps 8]\n  \
          aerorem snapshot load --in rem.snap\n  \
-         aerorem serve-bench [--in rem.snap] [--queries 200000] [--shards 4] [--batch 8192]\n  \
+         aerorem serve-bench [--in rem.snap] [--queries 200000] [--batch 8192]\n  \
          \u{20}                   [--dist zipfian|uniform] [--seed N] [--exec serial|parallel]\n  \
          aerorem serve    --in rem.snap (--tcp ADDR | --uds PATH) [--name default]\n  \
-         \u{20}                [--exec serial|parallel] [--shards 4] [--brick 8]\n  \
+         \u{20}                [--exec serial|parallel] [--brick 8]\n  \
          aerorem serve-client <point|best|stats|coverage|namespaces|load|shutdown>\n  \
          \u{20}                (--tcp ADDR | --uds PATH) [--namespace 0] ...\n  \
          \u{20}                point:    --at x,y,z --mac aa:bb:cc:dd:ee:ff\n  \

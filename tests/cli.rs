@@ -114,6 +114,12 @@ fn cli_rejects_bad_usage() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+
+    // A flag the command does not read (a removed option) is a usage
+    // error naming the flag, not silently ignored.
+    let out = bin().args(["serve", "--shards", "4"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
 }
 
 #[test]
