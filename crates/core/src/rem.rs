@@ -137,11 +137,17 @@ impl RemGrid {
     ) -> Result<Self, MlError> {
         let (nx, ny, nz) = Self::lattice_dims(volume, resolution_m);
         let indices: Vec<usize> = (0..nx * ny * nz).collect();
-        let values = exec::try_map_vec(policy, indices, |i| {
-            let p = Self::voxel_center(volume, (nx, ny, nz), i);
-            let row = layout.encode_query(p, mac)?;
-            model.predict_one(&row)
-        })?;
+        let values = exec::try_map_vec_with(
+            policy,
+            exec::Granularity::per_item(),
+            &exec::ScratchPool::new(|| ()),
+            &indices,
+            |(), &i| {
+                let p = Self::voxel_center(volume, (nx, ny, nz), i);
+                let row = layout.encode_query(p, mac)?;
+                model.predict_one(&row)
+            },
+        )?;
         Ok(RemGrid {
             mac,
             volume,

@@ -134,8 +134,8 @@ impl Rule for Entropy {
 /// Float reductions inside a parallel pipeline. `.sum()` / `.reduce()` /
 /// `.fold()` over floats combine in whatever order the scheduler hands out
 /// work, so two runs can differ in the last bits. The workspace's contract
-/// is order-preserving `map → collect` (see `numerics::exec::map_vec`) with
-/// a serial, blocked reduction afterwards.
+/// is order-preserving `map → collect` (see `numerics::exec::map_vec_with`)
+/// with a serial, blocked reduction afterwards.
 ///
 /// Besides raw rayon adapters this also watches the chunked executor entry
 /// points (`exec::map_chunks` and friends): a reduction written inside one

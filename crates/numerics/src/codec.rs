@@ -291,10 +291,13 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// The standard CRC-32 lookup table (reflected polynomial `0xEDB88320`),
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables for CRC-32 (reflected polynomial
+/// `0xEDB88320`), built at compile time. Row 0 is the classic bytewise
+/// table; row `k` is row 0 advanced through `k` further zero bytes, so
+/// `CRC32_TABLES[k][b]` is the contribution of byte `b` when `k` bytes
+/// follow it in a 16-byte block.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -307,10 +310,20 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut row = 1;
+    while row < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[row - 1][i];
+            tables[row][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        row += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3: reflected polynomial `0xEDB88320`, initial value
@@ -318,7 +331,9 @@ const CRC32_TABLE: [u32; 256] = {
 ///
 /// This is the same CRC-32 used by zlib/PNG/Ethernet, so an independent
 /// reimplementation of the snapshot format can validate against any
-/// standard library: `crc32(b"123456789") == 0xCBF43926`.
+/// standard library: `crc32(b"123456789") == 0xCBF43926`. The body is
+/// processed 16 bytes per step (slicing-by-16), the last `len % 16` bytes
+/// one at a time; the result is identical to the bytewise definition.
 ///
 /// # Examples
 ///
@@ -330,8 +345,21 @@ const CRC32_TABLE: [u32; 256] = {
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for chunk in &mut blocks {
+        // Fold the running CRC into the block's first four bytes, then
+        // look every byte up in the row for the bytes that follow it.
+        let mut block = [0u8; 16];
+        block.copy_from_slice(chunk);
+        let head = c ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        block[..4].copy_from_slice(&head.to_le_bytes());
+        c = block
+            .iter()
+            .zip(CRC32_TABLES.iter().rev())
+            .fold(0, |acc, (&b, row)| acc ^ row[usize::from(b)]);
+    }
+    for &b in blocks.remainder() {
+        c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -339,6 +367,35 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise definition: one row-0 lookup per byte. The oracle the
+    /// slicing-by-16 `crc32` must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest! {
+        // Slices starting at offsets 0..16 put the 16-byte blocks at every
+        // alignment and leave every tail length from 0 to 15.
+        #[test]
+        fn crc32_matches_the_bytewise_oracle(bytes in prop::collection::vec(any::<u8>(), 0..=4096)) {
+            for start in 0..16.min(bytes.len() + 1) {
+                let slice = &bytes[start..];
+                prop_assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "length {} from offset {}",
+                    bytes.len(),
+                    start
+                );
+            }
+        }
+    }
 
     #[test]
     fn crc32_known_vectors() {

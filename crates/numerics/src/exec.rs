@@ -523,85 +523,6 @@ where
     Ok(concat(chunked, items.len()))
 }
 
-/// Maps `f` over `items` under the given policy, preserving input order.
-///
-/// The by-value compatibility entry point: items are moved into `f`. Hot
-/// paths use the borrowing chunked variants ([`map_vec_with`],
-/// [`map_chunks`]) instead, which skip the per-chunk re-materialization
-/// this signature forces on the parallel arm.
-pub fn map_vec<T, R, F>(policy: ExecPolicy, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync + Send,
-{
-    let p = plan(policy, items.len(), Granularity::per_item());
-    if p.workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let len = items.len();
-    let lots = chunk_lots(items, p.chunk);
-    let chunked = run_chunks(p.workers, lots.len(), &unit_pool(), |(), ci| {
-        let lot = lots[ci]
-            .lock()
-            .expect("chunk lot lock poisoned")
-            .take()
-            .expect("each chunk lot consumed exactly once");
-        lot.into_iter().map(&f).collect::<Vec<R>>()
-    });
-    concat(chunked, len)
-}
-
-/// Fallible [`map_vec`]: collects into `Result`, returning the first error
-/// in input order.
-///
-/// # Errors
-///
-/// Returns the first `Err` produced by `f`, in input order.
-pub fn try_map_vec<T, R, E, F>(policy: ExecPolicy, items: Vec<T>, f: F) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(T) -> Result<R, E> + Sync + Send,
-{
-    let p = plan(policy, items.len(), Granularity::per_item());
-    if p.workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let len = items.len();
-    let lots = chunk_lots(items, p.chunk);
-    let chunked = try_run_chunks(p.workers, lots.len(), &unit_pool(), |(), ci| {
-        let lot = lots[ci]
-            .lock()
-            .expect("chunk lot lock poisoned")
-            .take()
-            .expect("each chunk lot consumed exactly once");
-        let mut c = Vec::with_capacity(lot.len());
-        for t in lot {
-            c.push(f(t)?);
-        }
-        Ok(c)
-    })?;
-    Ok(concat(chunked, len))
-}
-
-/// Splits owned items into per-chunk lots a worker can move out of — the
-/// safe-Rust price of the by-value signature (borrowing entry points pay
-/// nothing).
-fn chunk_lots<T>(items: Vec<T>, chunk: usize) -> Vec<Mutex<Option<Vec<T>>>> {
-    let mut lots = Vec::with_capacity(items.len().div_ceil(chunk.max(1)));
-    let mut it = items.into_iter();
-    loop {
-        let lot: Vec<T> = it.by_ref().take(chunk.max(1)).collect();
-        if lot.is_empty() {
-            break;
-        }
-        lots.push(Mutex::new(Some(lot)));
-    }
-    lots
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,30 +536,6 @@ mod tests {
         assert_eq!(ExecPolicy::default(), ExecPolicy::Parallel);
         assert_eq!(ExecPolicy::Serial.threads(), 1);
         assert!(ExecPolicy::Parallel.threads() >= 1);
-    }
-
-    #[test]
-    fn map_vec_matches_serial_map() {
-        let items: Vec<u64> = (0..5000).collect();
-        let serial = map_vec(ExecPolicy::Serial, items.clone(), |i| i * 3 + 1);
-        let parallel = map_vec(ExecPolicy::Parallel, items, |i| i * 3 + 1);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn try_map_vec_reports_first_error_in_input_order() {
-        let items: Vec<u32> = (0..100).collect();
-        let ok: Result<Vec<u32>, String> =
-            try_map_vec(ExecPolicy::Parallel, items.clone(), |i| Ok(i + 1));
-        assert_eq!(ok.unwrap().len(), 100);
-        let err: Result<Vec<u32>, String> = try_map_vec(ExecPolicy::Parallel, items, |i| {
-            if i >= 40 {
-                Err(format!("fail {i}"))
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(err.unwrap_err(), "fail 40");
     }
 
     #[test]
@@ -927,9 +824,7 @@ mod tests {
                 let pool = ScratchPool::new(|| ());
                 let got = try_map_vec_with(
                     ExecPolicy::Parallel, gran, &pool, &items, |(), &i| f(i));
-                prop_assert_eq!(got, want.clone());
-                let legacy = try_map_vec(ExecPolicy::Parallel, items.clone(), f);
-                prop_assert_eq!(legacy, want);
+                prop_assert_eq!(got, want);
             }
         }
     }

@@ -123,8 +123,12 @@ impl Transport {
 /// One blocking connection to an `aerorem serve` daemon.
 pub struct WireClient {
     transport: Transport,
-    /// Undecoded bytes read past the last complete frame.
+    /// Bytes read from the socket; `buf[start..]` is not decoded yet.
     buf: Vec<u8>,
+    /// Offset of the first undecoded byte in `buf`.
+    start: usize,
+    /// The read target, allocated once per connection.
+    chunk: Vec<u8>,
     next_seq: u64,
 }
 
@@ -154,6 +158,8 @@ impl WireClient {
         WireClient {
             transport,
             buf: Vec::new(),
+            start: 0,
+            chunk: vec![0; 64 * 1024],
             next_seq: 1,
         }
     }
@@ -166,21 +172,24 @@ impl WireClient {
         Ok(seq)
     }
 
-    /// Reads until one complete frame is buffered and returns it.
+    /// Reads until one complete frame is buffered and returns it. Frames
+    /// are consumed by offset; the buffer is compacted once per read.
     fn recv_frame(&mut self) -> Result<Frame, ClientError> {
-        let mut chunk = [0u8; 64 * 1024];
         loop {
-            if let Some((frame, consumed)) = Frame::decode_stream(&self.buf)? {
-                self.buf.drain(..consumed);
+            let undecoded = &self.buf[self.start..]; // lint:allow(panic-reach) — start only grows by lengths decode_stream returned for frames inside buf, and compaction resets it to 0
+            if let Some((frame, consumed)) = Frame::decode_stream(undecoded)? {
+                self.start += consumed;
                 return Ok(frame);
             }
-            let n = match self.transport.read(&mut chunk) {
+            self.buf.drain(..self.start);
+            self.start = 0;
+            let n = match self.transport.read(&mut self.chunk) {
                 Ok(0) => return Err(ClientError::Disconnected),
                 Ok(n) => n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(ClientError::Io(e)),
             };
-            self.buf.extend_from_slice(&chunk[..n]); // lint:allow(panic-reach) — n is the byte count read() just returned; n ≤ chunk.len() by the Read contract
+            self.buf.extend_from_slice(&self.chunk[..n]); // lint:allow(panic-reach) — n is the byte count read() just returned; n ≤ chunk.len() by the Read contract
         }
     }
 

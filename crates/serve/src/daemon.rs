@@ -7,8 +7,10 @@
 //! [`Listener`] (TCP and/or Unix-domain) and one thread per connection;
 //! each connection thread reads `docs/WIRE_FORMAT.md` frames, **batches
 //! consecutive pipelined request frames into a single
-//! [`RemStore::submit_batch`] call per namespace**, and writes replies in
-//! arrival order with the request's `seq` echoed.
+//! [`RemStore::submit_batch`] call per namespace**, and answers in
+//! arrival order with the request's `seq` echoed. A drain's replies are
+//! encoded into one buffer and sent with one write, flushed early only at
+//! control frames (load, list, shutdown), which stay barriers.
 //!
 //! Hot-swap: [`Daemon::load`] decodes and builds the incoming snapshot
 //! *outside* every lock, then swaps the namespace's `Arc` under a brief
@@ -423,6 +425,8 @@ impl Daemon {
     fn serve_connection<S: Read + Write>(&self, mut stream: S) {
         let mut buf: Vec<u8> = Vec::new();
         let mut chunk = vec![0u8; 64 * 1024];
+        // A drain's replies are encoded here and sent with one write.
+        let mut out: Vec<u8> = Vec::new();
         loop {
             if self.shared.stop.load(Ordering::SeqCst) {
                 return;
@@ -439,28 +443,33 @@ impl Daemon {
             // pipelining client managed to get onto the wire before we
             // looked — so consecutive requests coalesce into one batch.
             let mut frames = Vec::new();
-            loop {
-                match Frame::decode_stream(&buf) {
-                    Ok(Some((frame, consumed))) => {
-                        buf.drain(..consumed);
+            let mut consumed = 0;
+            let unframeable = loop {
+                let rest = &buf[consumed..]; // lint:allow(panic-reach) — consumed sums the lengths decode_stream returned for frames inside buf, so consumed ≤ buf.len()
+                match Frame::decode_stream(rest) {
+                    Ok(Some((frame, len))) => {
+                        consumed += len;
                         frames.push(frame);
                     }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // The stream is unsynchronized; one last typed
-                        // error (seq u64::MAX: no request to echo), then
-                        // hang up. Only this connection dies.
-                        let reply = Message::Error {
-                            code: ErrorCode::BadPayload,
-                            detail: format!("unframeable input: {e}"),
-                        }
-                        .into_frame(0, u64::MAX);
-                        let _ = stream.write_all(&reply.encode());
-                        return;
-                    }
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
                 }
+            };
+            buf.drain(..consumed);
+            if let Some(e) = unframeable {
+                // The stream is unsynchronized; one last typed error (seq
+                // u64::MAX: no request to echo), then hang up. Only this
+                // connection dies.
+                Message::Error {
+                    code: ErrorCode::BadPayload,
+                    detail: format!("unframeable input: {e}"),
+                }
+                .into_frame(0, u64::MAX)
+                .encode_into(&mut out);
+                let _ = write_replies(&mut stream, &mut out);
+                return;
             }
-            if self.process_frames(frames, &mut stream).is_err() {
+            if self.process_frames(frames, &mut stream, &mut out).is_err() {
                 return;
             }
         }
@@ -468,21 +477,28 @@ impl Daemon {
 
     /// Handles one drain's worth of frames. Consecutive request frames
     /// are grouped by namespace and answered with one `submit_batch`
-    /// each; replies go out in frame arrival order. `Err(())` means the
-    /// connection should close (write failure or shutdown).
-    fn process_frames<S: Write>(&self, frames: Vec<Frame>, stream: &mut S) -> Result<(), ()> {
+    /// each; replies are encoded into `out` in frame arrival order and
+    /// written before each control frame and at the end of the drain.
+    /// `Err(())` means the connection should close (write failure or
+    /// shutdown).
+    fn process_frames<S: Write>(
+        &self,
+        frames: Vec<Frame>,
+        stream: &mut S,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ()> {
         let mut pending: Vec<(u32, u64, Vec<Query>)> = Vec::new();
         for frame in frames {
             let msg = match Message::from_frame(&frame) {
                 Ok(msg) => msg,
                 Err(e) => {
-                    self.flush_requests(std::mem::take(&mut pending), stream)?;
-                    let reply = Message::Error {
+                    self.flush_requests(std::mem::take(&mut pending), out);
+                    Message::Error {
                         code: ErrorCode::BadPayload,
                         detail: format!("bad {:?} payload: {e}", frame.kind),
                     }
-                    .into_frame(frame.namespace, frame.seq);
-                    write_frame(stream, &reply)?;
+                    .into_frame(frame.namespace, frame.seq)
+                    .encode_into(out);
                     continue;
                 }
             };
@@ -491,25 +507,24 @@ impl Daemon {
                     pending.push((frame.namespace, frame.seq, queries));
                 }
                 other => {
-                    // A control frame is a barrier: answer everything
-                    // queued ahead of it first, preserving reply order.
-                    self.flush_requests(std::mem::take(&mut pending), stream)?;
-                    self.handle_control(other, &frame, stream)?;
+                    // A control frame is a barrier: everything queued ahead
+                    // of it is answered and sent first, so a slow `Load`
+                    // never holds back earlier replies.
+                    self.flush_requests(std::mem::take(&mut pending), out);
+                    write_replies(stream, out)?;
+                    self.handle_control(other, &frame, stream, out)?;
                 }
             }
         }
-        self.flush_requests(pending, stream)
+        self.flush_requests(pending, out);
+        write_replies(stream, out)
     }
 
     /// Answers queued request frames: one `submit_batch` per namespace,
-    /// replies in arrival order.
-    fn flush_requests<S: Write>(
-        &self,
-        pending: Vec<(u32, u64, Vec<Query>)>,
-        stream: &mut S,
-    ) -> Result<(), ()> {
+    /// replies encoded into `out` in arrival order.
+    fn flush_requests(&self, pending: Vec<(u32, u64, Vec<Query>)>, out: &mut Vec<u8>) {
         if pending.is_empty() {
-            return Ok(());
+            return;
         }
         // Batch per namespace: concatenate each namespace's queries,
         // answer once, then split responses back per originating frame.
@@ -558,17 +573,18 @@ impl Daemon {
             }
         }
         for reply in replies.into_iter().flatten() {
-            write_frame(stream, &reply)?;
+            reply.encode_into(out);
         }
-        Ok(())
     }
 
-    /// Handles one non-request message.
+    /// Handles one non-request message, encoding its reply into `out`.
+    /// A `Shutdown` writes `out` and its goodbye before hanging up.
     fn handle_control<S: Write>(
         &self,
         msg: Message,
         frame: &Frame,
         stream: &mut S,
+        out: &mut Vec<u8>,
     ) -> Result<(), ()> {
         let reply = match msg {
             Message::Load { name, snapshot } => match self.load(&name, &snapshot) {
@@ -590,7 +606,8 @@ impl Daemon {
                 namespaces: self.listing(),
             },
             Message::Shutdown => {
-                write_frame(stream, &Message::Bye.into_frame(0, frame.seq))?;
+                Message::Bye.into_frame(0, frame.seq).encode_into(out);
+                write_replies(stream, out)?;
                 self.initiate_shutdown();
                 return Err(());
             }
@@ -601,7 +618,8 @@ impl Daemon {
                 detail: format!("frame kind {:?} is not a client request", other.kind()),
             },
         };
-        write_frame(stream, &reply.into_frame(frame.namespace, frame.seq))
+        reply.into_frame(frame.namespace, frame.seq).encode_into(out);
+        Ok(())
     }
 }
 
@@ -626,11 +644,14 @@ impl ServerHandle {
     }
 }
 
-fn write_frame<S: Write>(stream: &mut S, frame: &Frame) -> Result<(), ()> {
-    stream
-        .write_all(&frame.encode())
-        .and_then(|()| stream.flush())
-        .map_err(|_| ())
+/// Sends the encoded replies in `out` with one write and empties it.
+fn write_replies<S: Write>(stream: &mut S, out: &mut Vec<u8>) -> Result<(), ()> {
+    if out.is_empty() {
+        return Ok(());
+    }
+    let sent = stream.write_all(out).and_then(|()| stream.flush());
+    out.clear();
+    sent.map_err(|_| ())
 }
 
 /// Lock helpers that survive poisoning: a panicking holder's data is

@@ -264,11 +264,23 @@ impl Frame {
     /// If `payload` exceeds [`MAX_PAYLOAD`] — writers construct payloads
     /// and must keep them under the protocol cap.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + self.payload.len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded frame to `out`, so several frames can go out
+    /// in one write.
+    ///
+    /// # Panics
+    ///
+    /// As [`Frame::encode`].
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         assert!(
             self.payload.len() <= MAX_PAYLOAD as usize,
             "payload exceeds the protocol cap"
         );
-        let mut w = ByteWriter::with_capacity(FRAME_HEADER_LEN + self.payload.len());
+        let mut w = ByteWriter::with_capacity(FRAME_HEADER_LEN);
         w.put_bytes(&WIRE_MAGIC);
         w.put_u16(WIRE_VERSION);
         w.put_u8(self.kind as u8);
@@ -279,8 +291,8 @@ impl Frame {
         w.put_u32(crc32(&self.payload));
         let header_crc = crc32(w.as_slice());
         w.put_u32(header_crc);
-        w.put_bytes(&self.payload);
-        w.into_bytes()
+        out.extend_from_slice(w.as_slice());
+        out.extend_from_slice(&self.payload);
     }
 
     /// Decodes one frame from the front of a stream buffer.

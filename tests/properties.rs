@@ -392,7 +392,8 @@ proptest! {
         };
         let mut zoo: Vec<Box<dyn Regressor>> = vec![
             Box::new(GroupMeanBaseline::new(3..5).unwrap()),
-            // Euclidean, dim ≤ 8 → arena KD-tree backend.
+            // Euclidean, 3 coordinate columns + one-hot keys → grouped
+            // KD-tree index (one tree per key group).
             Box::new(KnnRegressor::new(3, Weighting::Distance, 2.0).unwrap()),
             // Non-Euclidean Minkowski → generic brute-force backend.
             Box::new(KnnRegressor::new(4, Weighting::Uniform, 1.0).unwrap()),

@@ -2,7 +2,7 @@
 //! TCP loopback and Unix-domain sockets, checked bit-identical against
 //! the in-process `RemStore` answers, plus hot-swap, multi-namespace,
 //! unknown-namespace, and shutdown behaviour under both [`ExecPolicy`]
-//! arms.
+//! arms, and the reply order of a drain that mixes frame kinds.
 
 use aerorem::core::rem::RemGrid;
 use aerorem::core::snapshot::RemSnapshot;
@@ -354,6 +354,111 @@ fn a_stale_socket_file_is_replaced() {
         ]);
         let mut client = WireClient::connect_uds(&sock).expect("connect uds");
         client.shutdown().expect("daemon acknowledges shutdown");
+        handle.join();
+    });
+}
+
+#[test]
+fn a_drain_mixing_frame_kinds_answers_in_send_order() {
+    with_watchdog(30, || {
+        use aerorem::serve::{Frame, Message};
+        use std::io::{Read, Write};
+
+        let snapshot = synthetic_snapshot(2, 0.0);
+        let queries = mixed_queries();
+        let (daemon, handle, tcp_addr, _sock) = start_daemon(ExecPolicy::Serial, &snapshot);
+        let (_, local) = daemon.answer(0, &queries).expect("in-process answers");
+
+        let request = |namespace: u32, seq: u64| {
+            Message::Request {
+                queries: queries.clone(),
+            }
+            .into_frame(namespace, seq)
+        };
+        // Valid CRCs around an unknown query tag: byte 4 of a request
+        // payload is the first record's tag, after the u32 count.
+        let mut bad_tag = request(0, 4);
+        bad_tag.payload[4] = 0xEE;
+        let sent = [
+            request(0, 1),
+            request(7, 2),
+            Message::List.into_frame(0, 3),
+            bad_tag,
+            request(0, 5),
+        ];
+        let wire: Vec<u8> = sent.iter().flat_map(Frame::encode).collect();
+
+        // One write, so the daemon finds the five frames queued together.
+        let mut stream = std::net::TcpStream::connect(&tcp_addr).expect("connect tcp");
+        stream.write_all(&wire).expect("send the frames");
+        let mut replies = Vec::new();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while replies.len() < sent.len() {
+            match Frame::decode_stream(&buf).expect("replies frame cleanly") {
+                Some((frame, consumed)) => {
+                    buf.drain(..consumed);
+                    replies.push(frame);
+                }
+                None => {
+                    let n = stream.read(&mut chunk).expect("read replies");
+                    assert!(n > 0, "daemon hung up after {} replies", replies.len());
+                    buf.extend_from_slice(&chunk[..n]);
+                }
+            }
+        }
+        assert!(buf.is_empty(), "exactly five replies");
+
+        let seqs: Vec<u64> = replies.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, [1, 2, 3, 4, 5]);
+        let messages: Vec<Message> = replies
+            .iter()
+            .map(|f| Message::from_frame(f).expect("reply payload decodes"))
+            .collect();
+        let [first, unknown, listing, bad_reply, last] = messages.as_slice() else {
+            panic!("expected five replies, got {messages:?}");
+        };
+        for reply in [first, last] {
+            match reply {
+                Message::Response {
+                    generation,
+                    responses,
+                } => {
+                    assert_eq!(*generation, 1);
+                    assert_bit_identical(responses, &local);
+                }
+                other => panic!("expected a Response, got {other:?}"),
+            }
+        }
+        assert!(
+            matches!(
+                unknown,
+                Message::Error {
+                    code: ErrorCode::UnknownNamespace,
+                    ..
+                }
+            ),
+            "{unknown:?}"
+        );
+        assert!(
+            matches!(listing, Message::Listing { namespaces } if namespaces.len() == 1),
+            "{listing:?}"
+        );
+        assert!(
+            matches!(
+                bad_reply,
+                Message::Error {
+                    code: ErrorCode::BadPayload,
+                    ..
+                }
+            ),
+            "{bad_reply:?}"
+        );
+
+        WireClient::connect_tcp(&tcp_addr)
+            .expect("connect tcp")
+            .shutdown()
+            .expect("daemon acknowledges shutdown");
         handle.join();
     });
 }
