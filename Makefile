@@ -20,11 +20,17 @@ lint:
 lint-diff:
 	./scripts/lint_diff
 
+# Every workspace crate's tests, not only the root package's: the
+# member crates hold the kNN brute-force oracle, the exec and CRC
+# proptests and the octree tests.
 test:
-	cargo test -q
+	cargo test -q --workspace
 
+# Every workspace crate's docs with warnings as errors (broken or private
+# intra-doc links fail). The vendored rand/proptest/criterion subsets are
+# excluded: they are stand-ins, not documented API.
 doc:
-	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude rand --exclude proptest --exclude criterion
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings

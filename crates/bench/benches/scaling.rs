@@ -432,7 +432,7 @@ fn main() {
         }
     }
 
-    // --- bricked point serving (small-batch fallback in play) ---
+    // --- point serving (small-batch fallback in play) ---
     let (nx, ny, nz) = sizes.serve_dims;
     let grids = (1..=4u32)
         .map(|m| {

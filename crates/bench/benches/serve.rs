@@ -1,4 +1,4 @@
-//! REM serving throughput: batched point queries against the bricked
+//! REM serving throughput: batched point queries against the in-memory
 //! store.
 //!
 //! This is the acceptance bench for the serving layer (PR 6): it builds a
@@ -168,7 +168,7 @@ fn main() {
 
     let body = format!(
         "{{\n      \"cells\": {cells},\n      \"aps\": {},\n      \"queries\": {},\n      \
-         \"brick_edge\": 8,\n      \"zipf_exponent\": {ZIPF_EXPONENT},\n      \
+         \"zipf_exponent\": {ZIPF_EXPONENT},\n      \
          \"bit_identical\": true,\n      \"peak_zipfian_qps\": {:.1},\n      \"rows\": [\n{}\n      ]\n    }}",
         sizes.aps,
         sizes.queries,

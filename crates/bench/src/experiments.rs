@@ -1321,7 +1321,8 @@ pub mod montecarlo {
 /// pipeline timing.
 ///
 /// Runs the paper's full demo pipeline twice with the same seed — once
-/// under [`ExecPolicy::Serial`], once under [`ExecPolicy::Parallel`] — and
+/// under [`ExecPolicy::Serial`](aerorem_core::ExecPolicy::Serial), once
+/// under [`ExecPolicy::Parallel`](aerorem_core::ExecPolicy::Parallel) — and
 /// tabulates the per-stage wall-clock timings from the pipeline's built-in
 /// instrumentation, including REM generation for the strongest MAC. The
 /// two runs must produce identical model scores (the parallel paths are
@@ -1421,7 +1422,8 @@ pub mod pipeline_timing {
 /// fault rates.
 ///
 /// Each row flies the same single-UAV campaign twice at the same seed —
-/// once with the pre-recovery behaviour ([`RetryPolicy::none`], no
+/// once with the pre-recovery behaviour
+/// ([`RetryPolicy::none`](aerorem_mission::recovery::RetryPolicy::none), no
 /// re-flights) and once with the paper-default recovery stack (2-retry
 /// policy plus one tail re-flight) — under a deterministic receiver-fault
 /// schedule of increasing severity. The table reports how many waypoints

@@ -437,7 +437,7 @@ impl RemGrid {
     /// [`RemGrid::generate_with_confidence`] at hardware speed: one
     /// policy-parallel pass produces the prediction grid and the
     /// uncertainty grid (kriging standard deviation, dB) together. The
-    /// lattice is encoded into [`REM_FILL_GRAN`] chunks, each chunk is
+    /// lattice is encoded into `REM_FILL_GRAN` chunks, each chunk is
     /// solved through [`OrdinaryKriging::predict_with_variance_with`] with
     /// one [`KrigingScratch`] per worker thread — so each worker carries a
     /// factor cache across its chunks and consecutive voxels sharing a

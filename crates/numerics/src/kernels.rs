@@ -33,13 +33,13 @@ fn combine(s: [f64; LANES], tail: f64) -> f64 {
 /// Squared Euclidean distance between two equal-length slices.
 ///
 /// The loop is unrolled eight-wide with independent accumulators combined
-/// by the fixed tree in [`combine`], which lets the compiler keep eight
+/// by the fixed tree in `combine`, which lets the compiler keep eight
 /// add chains in flight instead of serializing on a single accumulator.
 /// The accumulation order is a pure function of the input length, so every
 /// caller sees the same bits for the same inputs — and for `len < 8`
 /// (including the ubiquitous 3-D position case) the result is bit-identical
 /// to the plain sequential sum, since the unrolled body never runs and the
-/// zero lanes vanish bit-exactly under [`combine`].
+/// zero lanes vanish bit-exactly under `combine`.
 ///
 /// # Panics
 ///
@@ -71,7 +71,7 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
 
 /// Taxicab (L1 / Manhattan) distance between two equal-length slices.
 ///
-/// Same eight-lane unroll and [`combine`] tree as [`sq_euclidean`], with
+/// Same eight-lane unroll and `combine` tree as [`sq_euclidean`], with
 /// `|x - y|` terms; the same zero-lane argument makes `len < 8` inputs
 /// bit-identical to the sequential `|x - y|` sum, so the kNN `p = 1` fast
 /// path can adopt this kernel without changing results in 3-D.
@@ -117,7 +117,7 @@ const COL_BLOCK: usize = 128;
 /// vectorizes over points instead of dimensions. Per point it accumulates
 /// exactly the scalar kernel's terms in exactly the scalar kernel's order
 /// (eight-lane groups into per-lane accumulators, remainder dimensions
-/// sequentially, combined by the same [`combine`] tree), so
+/// sequentially, combined by the same `combine` tree), so
 /// `out[j - lo]` is bit-identical to `sq_euclidean(point_j, query)`.
 ///
 /// # Panics

@@ -46,7 +46,8 @@ use crate::wire::{ErrorCode, Frame, Message, NamespaceInfo};
 pub struct DaemonConfig {
     /// Execution policy for every [`RemStore::submit_batch`] call.
     pub policy: ExecPolicy,
-    /// Store layout for every snapshot this daemon builds.
+    /// Passed to [`RemStore::build`] for every snapshot this daemon
+    /// builds; [`StoreConfig`] has no settings.
     pub store: StoreConfig,
 }
 

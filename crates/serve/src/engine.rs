@@ -124,11 +124,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        RemStore::build(
-            &RemSnapshot::new(grids).unwrap(),
-            StoreConfig { brick_edge: 4 },
-        )
-        .unwrap()
+        RemStore::build(&RemSnapshot::new(grids).unwrap(), StoreConfig::default()).unwrap()
     }
 
     fn mixed_batch(store: &RemStore) -> Vec<Query> {

@@ -10,8 +10,9 @@
 //!     │  RemSnapshot::load — versioned, checksummed, endian-stable
 //!     ▼
 //! RemStore::build
-//!     ├─ per-AP bricks       — point / best-AP lookups
-//!     └─ per-AP octrees      — box stats / coverage isosurfaces
+//!     └─ per-AP octree, owning the AP's value array
+//!          ├─ one cell index per query — point / best-AP lookups
+//!          └─ node aggregates          — box stats / coverage isosurfaces
 //!     ▼
 //! RemStore::submit_batch(&[Query], ExecPolicy) → Result<Vec<Response>, ServeError>
 //!     └─ numerics::exec, SERVE_GRANULARITY chunks (one chunk runs inline)

@@ -6,8 +6,8 @@
 //! generator here draws cells from a **zipfian** rank distribution
 //! (`P(rank) ∝ 1 / rank^s`) and scatters ranks across the lattice with a
 //! fixed multiplicative permutation, so the hot set is both heavy-tailed
-//! and spatially spread — a few hot bricks, many cold ones. A uniform
-//! mode is kept as the contrast arm.
+//! and spatially spread — a few hot cells scattered through the lattice,
+//! many cold ones. A uniform mode is kept as the contrast arm.
 //!
 //! Everything is seeded: the same `(store shape, config)` always yields
 //! the same query sequence, on any host.

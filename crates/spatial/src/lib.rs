@@ -10,9 +10,9 @@
 //! * [`Aabb`] — axis-aligned boxes: the scan volume, walls, and anchor
 //!   placement all build on it.
 //! * [`grid`] — waypoint lattice generation and fleet partitioning helpers.
-//! * [`octree`] — per-node-aggregate octree over voxel lattices: the
-//!   serving layer's index for box statistics, coverage isosurfaces, and
-//!   LOD summaries.
+//! * [`octree`] — a voxel lattice's values with a per-node-aggregate
+//!   octree over them: the serving layer's store and its index for box
+//!   statistics and coverage isosurfaces.
 //!
 //! # Examples
 //!

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! aerorem survey   [--seed N] [--waypoints 72] [--uavs 2] --out samples.csv
-//! aerorem evaluate --in samples.csv [--seed N]
+//! aerorem evaluate --in samples.csv [--seed N] [--min-samples 16]
 //! aerorem map      --in samples.csv [--mac aa:bb:..] [--resolution 0.25] --out rem.csv
 //!                  [--confidence sigma.csv] [--exec serial|parallel]
 //! aerorem coverage --in samples.csv [--threshold -75] [--radius 1.2]
@@ -12,9 +12,14 @@
 //! aerorem serve-bench [--in rem.snap] [--queries 200000] [--batch 8192]
 //!                     [--dist zipfian|uniform] [--seed N] [--exec serial|parallel]
 //! aerorem serve    --in rem.snap (--tcp ADDR | --uds PATH) [--name default]
-//!                  [--exec serial|parallel] [--brick 8]
+//!                  [--exec serial|parallel]
 //! aerorem serve-client <point|best|stats|coverage|namespaces|load|shutdown>
-//!                  (--tcp ADDR | --uds PATH) [--namespace 0] ...
+//!                  (--tcp ADDR | --uds PATH) ...
+//!                  point:    --at x,y,z --mac aa:bb:cc:dd:ee:ff [--namespace 0]
+//!                  best:     --at x,y,z [--namespace 0]
+//!                  stats:    --min x,y,z --max x,y,z --mac MAC [--namespace 0]
+//!                  coverage: --mac MAC [--threshold -75] [--namespace 0]
+//!                  load:     --in rem.snap [--name default]
 //! ```
 //!
 //! `survey` runs the simulated campaign and writes the collected samples;
@@ -28,7 +33,7 @@
 //! the speedup on your machine. `snapshot` freezes fitted REMs into the
 //! versioned binary format of `docs/SNAPSHOT_FORMAT.md` (and inspects
 //! such files); `serve-bench` drives a seeded point-query workload
-//! through the bricked `aerorem-serve` store and reports queries/s.
+//! through the `aerorem-serve` store and reports queries/s.
 //! `serve` exposes a snapshot over the wire protocol of
 //! `docs/WIRE_FORMAT.md` (TCP and/or Unix-domain sockets, hot-swappable
 //! via `serve-client load`), and `serve-client` is the matching one-shot
@@ -137,14 +142,14 @@ fn known_flags(command: &str, subcommand: Option<&str>) -> Option<&'static [&'st
         ("snapshot", Some("save")) => &["in", "out", "resolution", "aps"],
         ("snapshot", Some("load")) => &["in"],
         ("serve-bench", _) => &["in", "queries", "batch", "dist", "seed", "exec"],
-        ("serve", _) => &["in", "tcp", "uds", "name", "exec", "brick"],
+        ("serve", _) => &["in", "tcp", "uds", "name", "exec"],
         ("serve-client", Some(sub)) => match sub {
             "point" => &["tcp", "uds", "namespace", "at", "mac"],
             "best" => &["tcp", "uds", "namespace", "at"],
             "stats" => &["tcp", "uds", "namespace", "min", "max", "mac"],
             "coverage" => &["tcp", "uds", "namespace", "mac", "threshold"],
-            "load" => &["tcp", "uds", "namespace", "in", "name"],
-            "namespaces" | "shutdown" => &["tcp", "uds", "namespace"],
+            "load" => &["tcp", "uds", "in", "name"],
+            "namespaces" | "shutdown" => &["tcp", "uds"],
             _ => return None,
         },
         _ => return None,
@@ -624,11 +629,10 @@ fn serve_bench(flags: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     inst.count("queries", queries as u64);
     eprintln!(
-        "{} store: {} cells x {} APs, brick edge {}",
+        "{} store: {} cells x {} APs",
         store.volume(),
         store.layout().cell_count(),
-        store.macs().len(),
-        store.brick_edge()
+        store.macs().len()
     );
     println!(
         "{queries} {dist} point queries ({hits} in-volume hits), batch {batch}, exec {policy}"
@@ -662,11 +666,10 @@ fn serve(flags: &Flags) -> Result<(), String> {
     let input = required(flags, "in")?;
     let name = flags.get("name").map(String::as_str).unwrap_or("default");
     let policy: ExecPolicy = flag(flags, "exec", ExecPolicy::default())?;
-    let brick: usize = flag(flags, "brick", 8)?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let daemon = Daemon::new(DaemonConfig {
         policy,
-        store: StoreConfig { brick_edge: brick },
+        ..DaemonConfig::default()
     });
     let info = daemon.load(name, &bytes).map_err(|e| e.to_string())?;
     eprintln!(
@@ -856,13 +859,13 @@ fn usage(err: &str) -> ExitCode {
          aerorem serve-bench [--in rem.snap] [--queries 200000] [--batch 8192]\n  \
          \u{20}                   [--dist zipfian|uniform] [--seed N] [--exec serial|parallel]\n  \
          aerorem serve    --in rem.snap (--tcp ADDR | --uds PATH) [--name default]\n  \
-         \u{20}                [--exec serial|parallel] [--brick 8]\n  \
+         \u{20}                [--exec serial|parallel]\n  \
          aerorem serve-client <point|best|stats|coverage|namespaces|load|shutdown>\n  \
-         \u{20}                (--tcp ADDR | --uds PATH) [--namespace 0] ...\n  \
-         \u{20}                point:    --at x,y,z --mac aa:bb:cc:dd:ee:ff\n  \
-         \u{20}                best:     --at x,y,z\n  \
-         \u{20}                stats:    --min x,y,z --max x,y,z --mac MAC\n  \
-         \u{20}                coverage: --mac MAC [--threshold -75]\n  \
+         \u{20}                (--tcp ADDR | --uds PATH) ...\n  \
+         \u{20}                point:    --at x,y,z --mac aa:bb:cc:dd:ee:ff [--namespace 0]\n  \
+         \u{20}                best:     --at x,y,z [--namespace 0]\n  \
+         \u{20}                stats:    --min x,y,z --max x,y,z --mac MAC [--namespace 0]\n  \
+         \u{20}                coverage: --mac MAC [--threshold -75] [--namespace 0]\n  \
          \u{20}                load:     --in rem.snap [--name default]"
     );
     ExitCode::from(2)

@@ -120,6 +120,17 @@ fn cli_rejects_bad_usage() {
     let out = bin().args(["serve", "--shards", "4"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
+    let out = bin().args(["serve", "--brick", "8"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--brick"));
+
+    // A flag a subcommand would parse but never use is rejected too.
+    let out = bin()
+        .args(["serve-client", "shutdown", "--namespace", "3"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--namespace"));
 }
 
 #[test]
