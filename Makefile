@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the full gate run in CI and
 # before every commit; the individual targets exist for quicker loops.
 
-.PHONY: check build lint lint-diff test doc clippy bench-build bench-check bench bench-diff timing faults faults-check serve-check serve-net-check
+.PHONY: check build lint lint-diff test doc clippy bench-build perfbench-check bench-check bench bench-diff timing faults faults-check serve-check serve-net-check
 
-check: build lint lint-diff test doc clippy bench-build bench-check faults-check serve-check serve-net-check
+check: build lint lint-diff test doc clippy bench-build perfbench-check bench-check faults-check serve-check serve-net-check
 
 build:
 	cargo build --release
@@ -38,6 +38,12 @@ clippy:
 # Benches must always compile, even when nobody runs them.
 bench-build:
 	cargo bench --no-run
+
+# The end-to-end benchmark (perfbench/, its own workspace) must compile
+# against the current workspace API. --locked leaves perfbench/Cargo.lock
+# as committed; a plain cargo check would rewrite it.
+perfbench-check:
+	cargo check -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Smoke-sized run of the custom-harness benches: every bit-identity
 # assertion executes (including the PR-7 executor scaling sweep, the

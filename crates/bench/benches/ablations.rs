@@ -1,34 +1,46 @@
 //! Ablation benchmarks for the design choices called out in `DESIGN.md` §6:
-//! kNN backend crossover, TWR vs TDoA cost, waypoint-density scaling, and
-//! fleet-size scaling.
+//! the neighbour index's tree/scan crossover, TWR vs TDoA cost,
+//! waypoint-density scaling, and fleet-size scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use aerorem_localization::{AnchorConstellation, RangingConfig, RangingMode};
-use aerorem_ml::kdtree::{brute_force_nearest, KdTree};
 use aerorem_mission::plan::FleetPlan;
+use aerorem_ml::kdtree::{brute_force_nearest_flat, IndexScratch, NeighborIndex};
+use aerorem_ml::FeatureMatrix;
 use aerorem_spatial::{Aabb, Vec3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// KD-tree vs brute force across dimensionality — justifies the automatic
-/// backend switch in `KnnRegressor` (KD-tree up to 8 dims).
+/// The neighbour index vs a brute-force scan across dimensionality:
+/// justifies the index's cutoff, KD-trees up to 8 tree columns and a scan
+/// above. At 40 columns the index scans, so its arm is labelled
+/// `index_scan` there and times the same scan as `brute`, minus the full
+/// sort.
 fn bench_knn_backends(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let n = 2000;
     let mut group = c.benchmark_group("knn_backends");
     for dim in [3usize, 8, 40] {
-        let points: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..dim).map(|_| rng.gen_range(0.0..4.0)).collect())
-            .collect();
+        let data: Vec<f64> = (0..n * dim).map(|_| rng.gen_range(0.0..4.0)).collect();
         let query: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..4.0)).collect();
-        let tree = KdTree::build(points.clone()).unwrap();
-        group.bench_with_input(BenchmarkId::new("kdtree", dim), &dim, |b, _| {
-            b.iter(|| black_box(tree.nearest(&query, 16)))
+        let index = NeighborIndex::new(FeatureMatrix::from_flat(dim, data.clone()).unwrap());
+        assert_eq!(index.uses_trees(), dim <= 8, "the index's cutoff moved");
+        let arm = if index.uses_trees() {
+            "index_trees"
+        } else {
+            "index_scan"
+        };
+        let (mut scratch, mut out) = (IndexScratch::default(), Vec::new());
+        group.bench_with_input(BenchmarkId::new(arm, dim), &dim, |b, _| {
+            b.iter(|| {
+                index.nearest_into(&query, 16, &mut scratch, &mut out);
+                black_box(out.len())
+            })
         });
         group.bench_with_input(BenchmarkId::new("brute", dim), &dim, |b, _| {
-            b.iter(|| black_box(brute_force_nearest(&points, &query, 16)))
+            b.iter(|| black_box(brute_force_nearest_flat(&data, dim, &query, 16)))
         });
     }
     group.finish();

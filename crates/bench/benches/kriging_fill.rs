@@ -49,9 +49,9 @@ use aerorem_spatial::{Aabb, Vec3};
 use aerorem_uav::UavId;
 
 /// MACs in the synthetic world. All beacon on one channel, so the feature
-/// dimension is 3 + 3 + 1 = 7 ≤ the KD-tree cutoff — this bench exercises
-/// the tree-backed neighbour search (the brute-force backend is covered by
-/// the high-dimensional worlds in `rem_lattice` and `scaling`).
+/// dimension is 3 + 3 + 1 = 7: three coordinate columns and four key
+/// columns (the one-hot MACs and the constant channel), which the
+/// neighbour index serves with one KD-tree per MAC.
 const N_MACS: u32 = 3;
 /// Neighbours per kriging solve (the default `KrigingConfig`).
 const MAX_NEIGHBORS: usize = 24;
@@ -217,7 +217,7 @@ fn main() {
     );
     assert!(
         layout.dim() <= 8,
-        "bench world must stay within the KD-tree cutoff (dim {} > 8)",
+        "bench world must stay at 3 coordinate + 4 key columns (dim {} > 8)",
         layout.dim()
     );
 

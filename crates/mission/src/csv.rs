@@ -112,8 +112,8 @@ pub fn to_csv(samples: &SampleSet) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseCsvError`] naming the first malformed line; the header
-/// must match [`CSV_HEADER`].
+/// Returns [`ParseCsvError`] naming the first malformed line, including
+/// one with a non-finite coordinate; the header must match [`CSV_HEADER`].
 pub fn from_csv(text: &str) -> Result<SampleSet, ParseCsvError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines
@@ -136,9 +136,17 @@ pub fn from_csv(text: &str) -> Result<SampleSet, ParseCsvError> {
                 format!("expected 13 fields, found {}", fields.len()),
             ));
         }
+        // Coordinates must be finite: `NaN` or `inf` would reach every
+        // distance the models and the coverage planner compute.
         let parse_f64 = |s: &str, what: &str| -> Result<f64, ParseCsvError> {
-            s.parse()
-                .map_err(|_| ParseCsvError::new(n, format!("bad {what}: {s:?}")))
+            let v: f64 = s
+                .parse()
+                .map_err(|_| ParseCsvError::new(n, format!("bad {what}: {s:?}")))?;
+            if v.is_finite() {
+                Ok(v)
+            } else {
+                Err(ParseCsvError::new(n, format!("non-finite {what}: {s:?}")))
+            }
         };
         let uav = UavId(
             fields[0]
@@ -267,6 +275,25 @@ mod tests {
                 "{row}: got {err}"
             );
             assert!(err.to_string().contains("line 2"));
+        }
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_rejected_with_line_and_field() {
+        let fields = ["x", "y", "z", "true_x", "true_y", "true_z"];
+        for (i, field) in fields.iter().enumerate() {
+            for bad in ["NaN", "inf", "-inf"] {
+                let mut cols = ["1"; 6];
+                cols[i] = bad;
+                let row = format!("1,7,{},net,02:00:00:00:00:2a,11,-71,5", cols.join(","));
+                let good = "1,7,1,1,1,1,1,1,net,02:00:00:00:00:2a,11,-71,5";
+                let text = format!("{CSV_HEADER}\n{good}\n{row}\n");
+                let err = from_csv(&text).unwrap_err().to_string();
+                assert!(
+                    err.contains("line 3") && err.contains(&format!("non-finite {field}:")),
+                    "{field} = {bad}: got {err}"
+                );
+            }
         }
     }
 

@@ -4,15 +4,17 @@
 //! interpolator the REM literature uses — included as an extension and as
 //! an ablation baseline for the Figure-8 bench (see `DESIGN.md` §6).
 
-use crate::kdtree::top_k_from_candidates;
+use crate::kdtree::{IndexScratch, NeighborIndex};
 use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
 use aerorem_numerics::kernels::sq_euclidean;
 
 /// Shepard interpolation: `ŷ(q) = Σ wᵢ yᵢ / Σ wᵢ` with `wᵢ = 1/dᵢᵖ`,
 /// optionally restricted to the `max_neighbors` nearest samples.
 ///
-/// The fitted samples are stored in one flat [`FeatureMatrix`]; the batched
-/// prediction path reuses its distance and neighbour buffers across queries.
+/// The fitted samples live in a [`NeighborIndex`], which finds a capped
+/// prediction's neighbours; an uncapped one weighs every sample in
+/// insertion order. The batched prediction path reuses its search and
+/// neighbour buffers across queries.
 ///
 /// # Examples
 ///
@@ -33,7 +35,7 @@ use aerorem_numerics::kernels::sq_euclidean;
 pub struct IdwInterpolator {
     power: f64,
     max_neighbors: Option<usize>,
-    x: Option<FeatureMatrix>,
+    index: Option<NeighborIndex>,
     y: Vec<f64>,
 }
 
@@ -61,43 +63,43 @@ impl IdwInterpolator {
         Ok(IdwInterpolator {
             power,
             max_neighbors,
-            x: None,
+            index: None,
             y: Vec::new(),
         })
     }
 
     /// Shared prediction core: both the per-item and batched paths run this
-    /// exact code, so they agree bit-for-bit. `dists` and `nn` are reusable
-    /// scratch buffers.
+    /// exact code, so they agree bit-for-bit. `scratch` and `nn` are
+    /// reusable buffers.
     fn predict_with_scratch(
         &self,
         q: &[f64],
-        dists: &mut Vec<(usize, f64)>,
+        scratch: &mut IndexScratch,
         nn: &mut Vec<(usize, f64)>,
     ) -> Result<f64, MlError> {
-        let x = self.x.as_ref().ok_or(MlError::NotFitted)?;
-        if q.len() != x.dim() {
+        let index = self.index.as_ref().ok_or(MlError::NotFitted)?;
+        let rows = index.rows();
+        if q.len() != rows.dim() {
             return Err(MlError::DimensionMismatch {
-                expected: x.dim(),
+                expected: rows.dim(),
                 found: q.len(),
             });
         }
-        dists.clear();
-        dists.extend(
-            x.iter()
-                .enumerate()
-                .map(|(i, p)| (i, sq_euclidean(p, q).sqrt())),
-        );
-        let active: &[(usize, f64)] = if let Some(cap) = self.max_neighbors {
-            top_k_from_candidates(dists, cap, nn);
-            nn
-        } else {
-            dists
-        };
+        match self.max_neighbors {
+            Some(cap) => index.nearest_into(q, cap, scratch, nn),
+            None => {
+                nn.clear();
+                nn.extend(
+                    rows.iter()
+                        .enumerate()
+                        .map(|(i, p)| (i, sq_euclidean(p, q).sqrt())),
+                );
+            }
+        }
         // Exact hits dominate.
         let mut exact_sum = 0.0;
         let mut exact_n = 0usize;
-        for &(i, d) in active {
+        for &(i, d) in nn.iter() {
             if d == 0.0 {
                 exact_sum += self.y[i];
                 exact_n += 1;
@@ -108,7 +110,7 @@ impl IdwInterpolator {
         }
         let mut num = 0.0;
         let mut den = 0.0;
-        for &(i, d) in active {
+        for &(i, d) in nn.iter() {
             let w = d.powf(-self.power);
             num += w * self.y[i];
             den += w;
@@ -120,27 +122,28 @@ impl IdwInterpolator {
 impl Regressor for IdwInterpolator {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
         validate_xy(x, y)?;
-        self.x = Some(FeatureMatrix::from_rows(x).expect("validated rows"));
+        let rows = FeatureMatrix::from_rows(x).expect("validated rows");
+        self.index = Some(NeighborIndex::new(rows));
         self.y = y.to_vec();
         Ok(())
     }
 
     fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
         validate_matrix_y(xs, y)?;
-        self.x = Some(xs.clone());
+        self.index = Some(NeighborIndex::new(xs.clone()));
         self.y = y.to_vec();
         Ok(())
     }
 
     fn predict_one(&self, q: &[f64]) -> Result<f64, MlError> {
-        self.predict_with_scratch(q, &mut Vec::new(), &mut Vec::new())
+        self.predict_with_scratch(q, &mut IndexScratch::default(), &mut Vec::new())
     }
 
     fn predict_batch(&self, xs: &FeatureMatrix) -> Result<Vec<f64>, MlError> {
-        let mut dists = Vec::new();
+        let mut scratch = IndexScratch::default();
         let mut nn = Vec::new();
         xs.iter()
-            .map(|q| self.predict_with_scratch(q, &mut dists, &mut nn))
+            .map(|q| self.predict_with_scratch(q, &mut scratch, &mut nn))
             .collect()
     }
 }

@@ -1,41 +1,52 @@
-//! A flattened, leaf-based KD-tree for k-nearest-neighbour queries in low
-//! dimensions.
+//! Exact k-nearest-neighbour search over flat feature rows:
+//! [`NeighborIndex`], the one neighbour index kNN, IDW and kriging search,
+//! and the brute-force reference it reproduces.
 //!
-//! The tree is exact: it returns the same neighbours as brute force,
-//! including on exact distance ties, because every comparison in the
-//! search uses the `(distance, index)` total order that
-//! [`brute_force_nearest`] sorts by, where the distance is the square root
-//! of [`sq_euclidean`]. Ranking on the squared distance instead would not
-//! be the same order: distinct squared distances can share a square root,
-//! and brute force then prefers the lower index.
+//! Every search ranks rows the way [`brute_force_nearest_flat`] does: by
+//! `(√K, index)`, with `K` the [`sq_euclidean`] of the full rows and ties
+//! to the lower row index. Ranking on `K` instead would not be the same
+//! order: distinct squared distances can share a square root, and brute
+//! force then prefers the lower index.
 //!
-//! The same search also serves the grouped index of
-//! [`crate::knn::KnnRegressor`], which keeps one tree per one-hot key over
-//! the paper's coordinate columns: a `GroupProbe` adds the group's exact
-//! key-column offset to every bound and scores each reached point on its
-//! full feature row, so that index ranks exactly as a brute-force scan of
-//! the full rows does.
+//! # The index
 //!
-//! # Layout
+//! The paper's rows are `[x, y, z | one-hot MAC | one-hot channel]`: 60 to
+//! 80 columns, of which only the coordinates take more than two values.
+//! At build time a column is a **key** column when every row's value is 0
+//! or one shared value (a one-hot column, scaled or not, or a constant
+//! one) and a **tree** column otherwise. Rows with 1 to `KDTREE_MAX_DIM`
+//! (8) tree columns are grouped by their key values, and each group gets a
+//! KD-tree over its tree columns. A query visits groups in ascending key
+//! offset — the squared distance between its key columns and the group's,
+//! which every row of the group shares — and stops at the first group
+//! whose offset cannot beat its k-th neighbour. Any other row set is
+//! scanned ([`brute_force_topk_into`]).
 //!
-//! The tree is **leaf-based**: points are permuted into *slot order* so
+//! A tree search adds its group's offset to every pruning bound and scores
+//! each point that may still rank on its full row, so the index skips only
+//! rows it has proved cannot rank: [`NeighborIndex::nearest_into`] returns
+//! exactly the pairs [`brute_force_nearest_flat`] does, bit for bit. The
+//! rows are stored once, row-major; the trees hold only their tree
+//! columns.
+//!
+//! # Tree layout
+//!
+//! Each tree is **leaf-based**: points are permuted into *slot order* so
 //! every leaf owns a contiguous slot range of up to `LEAF_SIZE` points,
 //! and internal nodes store only a split axis and coordinate. The permuted
 //! points live **dimension-major** (structure-of-arrays): `cols[d * n +
 //! slot]` is coordinate `d` of the point in `slot`, so a leaf scan streams
 //! contiguous memory per dimension and runs through the block kernel
 //! [`aerorem_numerics::kernels::sq_euclidean_cols_into`], which is
-//! bit-identical per point to the scalar [`sq_euclidean`] every other
-//! distance path uses — tree, brute-force, per-item, and batched paths all
-//! agree bit-for-bit.
-//!
-//! A second, row-major copy in original insertion order backs the
-//! zero-copy [`KdTree::point`] / [`KdTree::points_flat`] accessors.
+//! bit-identical per point to the scalar [`sq_euclidean`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use aerorem_numerics::kernels::{sq_euclidean, sq_euclidean_cols_into};
+
+use crate::FeatureMatrix;
 
 /// Sentinel child index meaning "no child" and, in a node's `axis` field,
 /// "this node is a leaf".
@@ -47,27 +58,34 @@ const NO_NODE: u32 = u32::MAX;
 /// query still prunes most of the tree.
 const LEAF_SIZE: usize = 16;
 
+/// Most tree columns the grouped layout accepts; rows with more are
+/// scanned instead, since a KD-tree prunes little above this dimension
+/// (see the `knn_backends` bench).
+const KDTREE_MAX_DIM: usize = 8;
+
 /// Factor applied to every pruning lower bound before it is compared with
 /// the current k-th distance.
 ///
-/// The plain tree needs none: its bound `fl(delta²)` is one of the terms
-/// the squared distance sums, and a floating-point sum of non-negative
-/// terms is never below any of them. A [`GroupProbe`] search adds a
-/// group's key offset `O`, summed by [`sq_euclidean`] over the key columns,
-/// to a tree-column part `T` (a `delta²` or a leaf point's tree distance),
-/// while the exact score `K` sums the same per-column terms over the full
-/// row in another order. With `u = 2⁻⁵³` and `n` columns, each recursive
-/// sum is within a factor `1 ± n·u` of the exact sum of its terms, and
-/// rounding `T + O` and the product with this factor cost `1 + u` each,
-/// so `fl(fl(T + O) · SLACK) <= K` whenever `SLACK <= 1 - (2n + 3)·u`.
-/// `1 - 2⁻⁴⁰` satisfies that for up to [`MAX_PROBE_DIM`] columns, and
-/// costs a relative `2⁻⁴⁰` of pruning. Subnormal sums are exact, and an
-/// underflowing product only lowers the bound, so both stay safe.
+/// A search adds a group's key offset `O`, summed by [`sq_euclidean`] over
+/// the key columns, to a tree-column part `T` (a `delta²` or a leaf point's
+/// tree distance), while the exact score `K` sums the same per-column
+/// terms over the full row in another order. With `u = 2⁻⁵³` and `n`
+/// columns, each recursive sum is within a factor `1 ± n·u` of the exact
+/// sum of its terms, and rounding `T + O` and the product with this factor
+/// cost `1 + u` each, so `fl(fl(T + O) · SLACK) <= K` whenever
+/// `SLACK <= 1 - (2n + 3)·u`. `1 - 2⁻⁴⁰` satisfies that for up to
+/// [`MAX_PROBE_DIM`] columns, and costs a relative `2⁻⁴⁰` of pruning.
+/// Subnormal sums are exact, and an underflowing product only lowers the
+/// bound, so both stay safe.
 const BOUND_SLACK: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
 
 /// Widest full row a [`GroupProbe`] may score: the bound behind
 /// [`BOUND_SLACK`] holds up to this many columns.
-pub(crate) const MAX_PROBE_DIM: usize = 1 << 11;
+const MAX_PROBE_DIM: usize = 1 << 11;
+
+/// Source of [`NeighborIndex`] ids. An [`IndexScratch`] reuses its cached
+/// group order only for the index that computed it.
+static NEXT_INDEX_ID: AtomicU64 = AtomicU64::new(0);
 
 /// A `(distance, index)` candidate in the bounded max-heap, ordered
 /// exactly as brute force ranks rows: by `√K`, then by index.
@@ -94,20 +112,18 @@ impl Ord for Candidate {
     }
 }
 
-/// How a grouped index lends one group's tree to a search: every point of
-/// the tree shares `offset`, the exact squared distance over the columns
-/// the tree leaves out, and a point that may still rank is scored on its
-/// full row and reported under its caller row id.
+/// How the index lends one group's tree to a search: every point of the
+/// tree shares `offset`, the exact squared distance over the columns the
+/// tree leaves out, and a point that may still rank is scored on its full
+/// row.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GroupProbe<'a> {
+struct GroupProbe<'a> {
     /// [`sq_euclidean`] between the query's and the group's key columns.
-    pub offset: f64,
-    /// Caller row id of each tree point, by tree point index.
-    pub rows: &'a [u32],
-    /// The caller's full rows, row-major, `query.len()` values each.
-    pub data: &'a [f64],
+    offset: f64,
+    /// The full rows, row-major, `query.len()` values each.
+    data: &'a [f64],
     /// The full query row.
-    pub query: &'a [f64],
+    query: &'a [f64],
 }
 
 /// One arena node. Internal nodes split on `axis` at coordinate `split`
@@ -121,26 +137,19 @@ struct Node {
     right: u32,
 }
 
-/// Reusable per-query search state for [`KdTree::nearest_into`], letting the
-/// batched prediction path run thousands of queries without reallocating the
-/// candidate heap or the leaf distance buffer.
+/// The bounded candidate heap and leaf distance buffer of one search.
 #[derive(Debug, Default, Clone)]
-pub struct NeighborScratch {
+struct NeighborScratch {
     heap: BinaryHeap<Candidate>,
     dists: Vec<f64>,
 }
 
 impl NeighborScratch {
-    /// Empties the candidate heap for a new query.
-    pub(crate) fn clear(&mut self) {
-        self.heap.clear();
-    }
-
     /// Whether a point whose squared distance is at least `lower`, up to
     /// the rounding [`BOUND_SLACK`] absorbs, could still enter the `k`
     /// best. Non-strict: a point tying the k-th distance can still win on
     /// its index.
-    pub(crate) fn may_enter(&self, k: usize, lower: f64) -> bool {
+    fn may_enter(&self, k: usize, lower: f64) -> bool {
         self.heap.len() < k
             || self
                 .heap
@@ -161,69 +170,41 @@ impl NeighborScratch {
 
     /// Replaces the contents of `out` with the kept candidates as
     /// `(index, distance)` pairs, nearest first, and empties the heap.
-    pub(crate) fn drain_sorted_into(&mut self, out: &mut Vec<(usize, f64)>) {
+    fn drain_sorted_into(&mut self, out: &mut Vec<(usize, f64)>) {
         out.clear();
         out.extend(self.heap.drain().map(|c| (c.index, c.dist)));
         out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
     }
 }
 
-/// An exact KD-tree over owned points in a flat arena.
-///
-/// # Examples
-///
-/// ```
-/// use aerorem_ml::kdtree::KdTree;
-///
-/// let pts = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![2.0, 2.0]];
-/// let tree = KdTree::build(pts).unwrap();
-/// let nn = tree.nearest(&[0.9, 1.1], 1);
-/// assert_eq!(nn[0].0, 1); // index of (1,1)
-/// ```
+/// An exact KD-tree over one group's tree columns, in a flat arena.
 #[derive(Debug, Clone)]
-pub struct KdTree {
-    /// Flat row-major point storage, `len() * dim` values, original order
-    /// (backs the public accessors).
-    data: Vec<f64>,
-    /// Dimension-major permuted storage: `cols[d * len() + slot]`.
+struct KdTree {
+    /// Dimension-major permuted storage: `cols[d * n + slot]`.
     cols: Vec<f64>,
-    /// Maps a slot in `cols` back to the original point index.
-    slot_to_index: Vec<u32>,
+    /// Row id of the point in each slot.
+    slot_to_row: Vec<u32>,
     nodes: Vec<Node>,
     root: u32,
     dim: usize,
 }
 
 impl KdTree {
-    /// Builds a tree from points. Returns `None` for an empty set, ragged
-    /// rows, or zero-dimensional points.
-    pub fn build(points: Vec<Vec<f64>>) -> Option<Self> {
-        let dim = points.first()?.len();
-        if dim == 0 || points.iter().any(|p| p.len() != dim) {
-            return None;
-        }
-        let mut data = Vec::with_capacity(points.len() * dim);
-        for p in &points {
-            data.extend_from_slice(p);
-        }
-        Self::build_flat(data, dim)
-    }
-
-    /// Builds a tree directly from flat row-major storage, which the tree
-    /// then owns (the single copy of the training set for the kNN tree
-    /// backend). Returns `None` for empty data, `dim == 0`, a length that is
-    /// not a multiple of `dim`, or more than `u32::MAX - 1` points.
-    pub fn build_flat(data: Vec<f64>, dim: usize) -> Option<Self> {
+    /// Builds a tree over flat row-major points, point `i` reported as row
+    /// `rows[i]`. Returns `None` for empty data, `dim == 0`, a length that
+    /// is not a multiple of `dim` or not `rows.len()` points, or more than
+    /// `u32::MAX - 1` points.
+    fn build_flat(data: &[f64], dim: usize, rows: &[u32]) -> Option<Self> {
         if dim == 0 || data.is_empty() || !data.len().is_multiple_of(dim) {
             return None;
         }
         let n = data.len() / dim;
-        if n >= NO_NODE as usize {
+        if n >= NO_NODE as usize || n != rows.len() {
             return None;
         }
         let mut indices: Vec<usize> = (0..n).collect();
         let mut nodes = Vec::with_capacity(2 * n.div_ceil(LEAF_SIZE));
-        let root = build_arena(&data, dim, &mut indices, 0, &mut nodes);
+        let root = build_arena(data, dim, &mut indices, 0, &mut nodes);
         // After the build the index permutation *is* the slot order; lay the
         // permuted points out dimension-major for the leaf-scan kernel.
         let mut cols = vec![0.0; n * dim];
@@ -232,80 +213,14 @@ impl KdTree {
                 cols[d * n + slot] = data[pi * dim + d];
             }
         }
-        let slot_to_index = indices.iter().map(|&pi| pi as u32).collect();
+        let slot_to_row = indices.iter().map(|&pi| rows[pi]).collect();
         Some(KdTree {
-            data,
             cols,
-            slot_to_index,
+            slot_to_row,
             nodes,
             root,
             dim,
         })
-    }
-
-    /// Number of points in the tree.
-    pub fn len(&self) -> usize {
-        self.data.len() / self.dim
-    }
-
-    /// Whether the tree is empty (never true for built trees).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// The point dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Zero-copy view of point `i` (original insertion order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn point(&self, i: usize) -> &[f64] {
-        &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// The flat row-major point storage, in original insertion order.
-    pub fn points_flat(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Returns the `k` nearest points to `query` as `(index, distance)`
-    /// pairs, nearest first. Fewer than `k` results when the tree is small.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.len() != self.dim()`.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut scratch = NeighborScratch::default();
-        let mut out = Vec::new();
-        self.nearest_into(query, k, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`KdTree::nearest`]: the candidate heap
-    /// and leaf distance buffer live in `scratch` and results replace the
-    /// contents of `out`, so a batched caller reuses both across queries.
-    /// Produces exactly the same results as [`KdTree::nearest`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.len() != self.dim()`.
-    pub fn nearest_into(
-        &self,
-        query: &[f64],
-        k: usize,
-        scratch: &mut NeighborScratch,
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        scratch.clear();
-        if k > 0 {
-            self.search(self.root, query, k, None, scratch);
-        }
-        scratch.drain_sorted_into(out);
     }
 
     /// Offers this tree's points to `scratch`'s `k` best as `probe`
@@ -314,7 +229,7 @@ impl KdTree {
     /// rank is scored by [`sq_euclidean`] over its full row. Scratch is
     /// neither cleared nor drained, so a caller can search several groups
     /// into one candidate set.
-    pub(crate) fn search_group(
+    fn search_group(
         &self,
         query: &[f64],
         k: usize,
@@ -323,53 +238,41 @@ impl KdTree {
     ) {
         debug_assert_eq!(query.len(), self.dim, "query dimension mismatch");
         debug_assert!(probe.query.len() <= MAX_PROBE_DIM, "see BOUND_SLACK");
-        self.search(self.root, query, k, Some(probe), scratch);
+        self.search(self.root, query, k, probe, scratch);
     }
 
-    /// The one search routine. Without a probe a point's score is its
-    /// leaf distance and its index is its insertion index; with one, see
-    /// [`KdTree::search_group`].
     fn search(
         &self,
         node: u32,
         query: &[f64],
         k: usize,
-        probe: Option<&GroupProbe<'_>>,
+        probe: &GroupProbe<'_>,
         scratch: &mut NeighborScratch,
     ) {
         if node == NO_NODE {
             return;
         }
-        let offset = probe.map_or(0.0, |p| p.offset);
         let n = self.nodes[node as usize];
         if n.axis == NO_NODE {
             // Leaf: one SoA block scan over the slot range, then tie-exact
-            // heap maintenance. The kernel output is bit-identical per point
-            // to the scalar sq_euclidean all other paths use.
+            // heap maintenance on the full rows of the points that may rank.
             let (lo, hi) = (n.left as usize, n.right as usize);
             let mut dists = std::mem::take(&mut scratch.dists);
             dists.resize(hi - lo, 0.0);
-            sq_euclidean_cols_into(&self.cols, self.len(), query, lo, hi, &mut dists);
-            for (&point, &dist2) in self.slot_to_index[lo..hi].iter().zip(&dists) {
-                let (dist2, index) = match probe {
-                    None => (dist2, point as usize),
-                    Some(p) => {
-                        if !scratch.may_enter(k, dist2 + p.offset) {
-                            continue;
-                        }
-                        let row = p.rows[point as usize] as usize;
-                        let dim = p.query.len();
-                        (
-                            sq_euclidean(&p.data[row * dim..(row + 1) * dim], p.query),
-                            row,
-                        )
-                    }
-                };
+            let points = self.slot_to_row.len();
+            sq_euclidean_cols_into(&self.cols, points, query, lo, hi, &mut dists);
+            let dim = probe.query.len();
+            for (&row, &dist2) in self.slot_to_row[lo..hi].iter().zip(&dists) {
+                if !scratch.may_enter(k, dist2 + probe.offset) {
+                    continue;
+                }
+                let row = row as usize;
+                let full = sq_euclidean(&probe.data[row * dim..(row + 1) * dim], probe.query);
                 scratch.offer(
                     k,
                     Candidate {
-                        dist: dist2.sqrt(),
-                        index,
+                        dist: full.sqrt(),
+                        index: row,
                     },
                 );
             }
@@ -386,9 +289,236 @@ impl KdTree {
         // Visit the far side unless every point there is provably worse than
         // the current worst candidate: `delta²` is one of the terms of any
         // far-side distance, so it (plus the offset) bounds it from below.
-        if scratch.may_enter(k, delta * delta + offset) {
+        if scratch.may_enter(k, delta * delta + probe.offset) {
             self.search(far, query, k, probe, scratch);
         }
+    }
+}
+
+/// An exact k-nearest-neighbour index over flat feature rows: per-key
+/// KD-trees, or a scan where they would not prune (see the module docs).
+///
+/// # Examples
+///
+/// ```
+/// use aerorem_ml::kdtree::{brute_force_nearest_flat, IndexScratch, NeighborIndex};
+/// use aerorem_ml::FeatureMatrix;
+///
+/// // [x, y | one-hot MAC ×2]: two tree columns and two key columns.
+/// let rows = vec![
+///     vec![0.0, 0.0, 1.0, 0.0],
+///     vec![1.0, 1.0, 1.0, 0.0],
+///     vec![2.0, 2.0, 0.0, 1.0],
+/// ];
+/// let index = NeighborIndex::new(FeatureMatrix::from_rows(&rows).unwrap());
+/// assert!(index.uses_trees());
+///
+/// let query = [0.9, 1.1, 1.0, 0.0];
+/// let mut scratch = IndexScratch::default();
+/// let mut nn = Vec::new();
+/// index.nearest_into(&query, 2, &mut scratch, &mut nn);
+/// assert_eq!(nn[0].0, 1); // the row at (1, 1)
+/// let flat = index.rows().as_slice();
+/// assert_eq!(nn, brute_force_nearest_flat(flat, 4, &query, 2));
+/// ```
+#[derive(Debug, Clone)]
+pub struct NeighborIndex {
+    rows: FeatureMatrix,
+    /// Keys this index's group orders in an [`IndexScratch`].
+    id: u64,
+    /// `None` when the rows are scanned.
+    grouped: Option<Grouped>,
+}
+
+/// The grouped layout: one KD-tree per distinct key over the tree columns.
+#[derive(Debug, Clone)]
+struct Grouped {
+    key_cols: Vec<usize>,
+    tree_cols: Vec<usize>,
+    groups: Vec<Group>,
+}
+
+/// The rows sharing one key.
+#[derive(Debug, Clone)]
+struct Group {
+    /// The rows' values in the key columns.
+    key: Vec<f64>,
+    /// KD-tree over the rows' tree columns.
+    tree: KdTree,
+}
+
+/// Reusable per-query state for [`NeighborIndex::nearest_into`]. The group
+/// order depends only on the query's key columns, so it is kept for as
+/// long as consecutive queries to one index share them — a whole lattice
+/// fill for one AP. Any scratch may serve any index.
+#[derive(Debug, Default, Clone)]
+pub struct IndexScratch {
+    /// Id of the index the cached `order` belongs to.
+    owner: Option<u64>,
+    /// Key columns the cached `order` was computed for.
+    key: Vec<f64>,
+    /// `(offset, group)` in ascending offset, ties by group.
+    order: Vec<(f64, usize)>,
+    tree_query: Vec<f64>,
+    heap: NeighborScratch,
+    /// Candidate buffer of the scanned layout.
+    pub(crate) cand: Vec<(usize, f64)>,
+}
+
+impl NeighborIndex {
+    /// Indexes `rows`, which the index then owns: the grouped layout when
+    /// they split into 1 to `KDTREE_MAX_DIM` tree columns plus key
+    /// columns, a scan otherwise.
+    pub fn new(rows: FeatureMatrix) -> NeighborIndex {
+        let id = NEXT_INDEX_ID.fetch_add(1, AtomicOrdering::Relaxed);
+        let dim = rows.dim();
+        // One row-major pass: column c is a key column while every value
+        // seen is 0 or the first non-zero value seen.
+        let mut shared: Vec<Option<f64>> = vec![None; dim];
+        let mut is_key = vec![true; dim];
+        for row in rows.iter() {
+            for ((&v, first), key) in row.iter().zip(&mut shared).zip(&mut is_key) {
+                if v != 0.0 && *first.get_or_insert(v) != v {
+                    *key = false;
+                }
+            }
+        }
+        let (key_cols, tree_cols): (Vec<usize>, Vec<usize>) = (0..dim).partition(|&c| is_key[c]);
+        let grouped = (!tree_cols.is_empty()
+            && tree_cols.len() <= KDTREE_MAX_DIM
+            && dim <= MAX_PROBE_DIM
+            && rows.rows() < u32::MAX as usize)
+            .then(|| Grouped::build(&rows, key_cols, tree_cols));
+        NeighborIndex { rows, id, grouped }
+    }
+
+    /// The indexed rows, in insertion order: row ids index into them.
+    pub fn rows(&self) -> &FeatureMatrix {
+        &self.rows
+    }
+
+    /// Whether searches run the per-key KD-trees rather than a scan.
+    pub fn uses_trees(&self) -> bool {
+        self.grouped.is_some()
+    }
+
+    /// Replaces the contents of `out` with the `k` nearest rows to `query`
+    /// as `(row, distance)` pairs, nearest first: exactly
+    /// [`brute_force_nearest_flat`]'s pairs. Fewer than `k` when the index
+    /// holds fewer rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len()` differs from the rows' dimension.
+    pub fn nearest_into(
+        &self,
+        query: &[f64],
+        k: usize,
+        scratch: &mut IndexScratch,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let dim = self.rows.dim();
+        assert_eq!(query.len(), dim, "query dimension mismatch");
+        match &self.grouped {
+            Some(grouped) if k > 0 => {
+                grouped.nearest_into(self.id, self.rows.as_slice(), query, k, scratch, out);
+            }
+            _ => brute_force_topk_into(self.rows.as_slice(), dim, query, k, &mut scratch.cand, out),
+        }
+    }
+}
+
+impl Grouped {
+    fn build(rows: &FeatureMatrix, key_cols: Vec<usize>, tree_cols: Vec<usize>) -> Self {
+        // A key value is 0 or the column's shared value, so a row's key is
+        // the set of key columns it sets, packed into bit words (±0 give
+        // the same distance terms, so they are one key value).
+        let words = key_cols.len() / 64 + 1;
+        let (flat, dim) = (rows.as_slice(), rows.dim());
+        let mut bits = vec![0u64; rows.rows() * words];
+        for (row, key) in rows.iter().zip(bits.chunks_exact_mut(words)) {
+            for (j, &c) in key_cols.iter().enumerate() {
+                key[j / 64] |= u64::from(row[c] != 0.0) << (j % 64);
+            }
+        }
+        let key_of = |r: usize| &bits[r * words..(r + 1) * words];
+        // Stable: rows stay in ascending order within their group.
+        let mut order: Vec<usize> = (0..rows.rows()).collect();
+        order.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
+        let groups = order
+            .chunk_by(|&a, &b| key_of(a) == key_of(b))
+            .map(|ids| {
+                let points: Vec<f64> = ids
+                    .iter()
+                    .flat_map(|&r| tree_cols.iter().map(move |&c| flat[r * dim + c]))
+                    .collect();
+                let rows: Vec<u32> = ids.iter().map(|&r| r as u32).collect();
+                Group {
+                    key: key_cols.iter().map(|&c| flat[ids[0] * dim + c]).collect(),
+                    tree: KdTree::build_flat(&points, tree_cols.len(), &rows)
+                        .expect("a group holds at least one row"),
+                }
+            })
+            .collect();
+        Grouped {
+            key_cols,
+            tree_cols,
+            groups,
+        }
+    }
+
+    /// The `k ≥ 1` nearest rows of `data` to `query`, as brute force ranks
+    /// them, into `out`.
+    fn nearest_into(
+        &self,
+        id: u64,
+        data: &[f64],
+        query: &[f64],
+        k: usize,
+        s: &mut IndexScratch,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let same_key = s.owner == Some(id)
+            && self
+                .key_cols
+                .iter()
+                .zip(&s.key)
+                .all(|(&c, v)| query[c].to_bits() == v.to_bits());
+        if !same_key {
+            s.owner = Some(id);
+            s.key.clear();
+            s.key.extend(self.key_cols.iter().map(|&c| query[c]));
+            s.order.clear();
+            s.order.extend(
+                self.groups
+                    .iter()
+                    .enumerate()
+                    .map(|(g, group)| (sq_euclidean(&s.key, &group.key), g)),
+            );
+            s.order
+                .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
+        s.tree_query.clear();
+        s.tree_query
+            .extend(self.tree_cols.iter().map(|&c| query[c]));
+        s.heap.heap.clear();
+        for &(offset, g) in &s.order {
+            // Later groups have offsets at least this large, and every row
+            // of a group lies at least its offset away.
+            if !s.heap.may_enter(k, offset) {
+                break;
+            }
+            let group = &self.groups[g];
+            let probe = GroupProbe {
+                offset,
+                data,
+                query,
+            };
+            group
+                .tree
+                .search_group(&s.tree_query, k, &probe, &mut s.heap);
+        }
+        s.heap.drain_sorted_into(out);
     }
 }
 
@@ -467,22 +597,10 @@ fn build_arena(
     id as u32
 }
 
-/// Brute-force exact k-nearest-neighbour reference, used as the test oracle.
-pub fn brute_force_nearest(points: &[Vec<f64>], query: &[f64], k: usize) -> Vec<(usize, f64)> {
-    let mut all: Vec<(usize, f64)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (i, sq_euclidean(p, query).sqrt()))
-        .collect();
-    all.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
-    all.truncate(k);
-    all
-}
-
 /// Brute-force exact k-nearest-neighbour over flat row-major points: full
 /// sort of all `(index, distance)` pairs by `(distance, index)`, truncated to
-/// `k`. The ranking every kNN backend reproduces bit for bit, and the
-/// oracle the tests compare them against.
+/// `k`. The ranking [`NeighborIndex`] reproduces bit for bit, and the
+/// oracle the tests compare it against.
 pub fn brute_force_nearest_flat(
     data: &[f64],
     dim: usize,
@@ -506,8 +624,8 @@ pub fn brute_force_nearest_flat(
 /// Uses `select_nth_unstable_by` (O(n)) instead of a full sort, then sorts
 /// only the `k`-prefix. Because `(distance, index)` is a total order, the set
 /// of `k` smallest pairs is unique, so this returns **exactly** the same
-/// pairs as [`brute_force_nearest_flat`] — the batched fast path is
-/// bit-identical to the per-item reference.
+/// pairs as [`brute_force_nearest_flat`]. The index's scan layout runs on
+/// it.
 pub fn brute_force_topk_into(
     data: &[f64],
     dim: usize,
@@ -555,73 +673,83 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn build_rejects_bad_input() {
-        assert!(KdTree::build(vec![]).is_none());
-        assert!(KdTree::build(vec![vec![]]).is_none());
-        assert!(KdTree::build(vec![vec![1.0], vec![1.0, 2.0]]).is_none());
-        assert!(KdTree::build_flat(vec![], 2).is_none());
-        assert!(KdTree::build_flat(vec![1.0, 2.0, 3.0], 2).is_none());
-        assert!(KdTree::build_flat(vec![1.0], 0).is_none());
+    fn index(rows: &[Vec<f64>]) -> NeighborIndex {
+        NeighborIndex::new(FeatureMatrix::from_rows(rows).unwrap())
+    }
+
+    fn nearest(index: &NeighborIndex, q: &[f64], k: usize) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        index.nearest_into(q, k, &mut IndexScratch::default(), &mut out);
+        out
+    }
+
+    fn oracle(index: &NeighborIndex, q: &[f64], k: usize) -> Vec<(usize, f64)> {
+        let rows = index.rows();
+        brute_force_nearest_flat(rows.as_slice(), rows.dim(), q, k)
+    }
+
+    fn random_rows(rng: &mut StdRng, n: usize, dim: usize, span: f64) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-span..span)).collect())
+            .collect()
     }
 
     #[test]
-    fn single_point() {
-        let t = KdTree::build(vec![vec![1.0, 2.0, 3.0]]).unwrap();
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-        assert_eq!(t.dim(), 3);
-        assert_eq!(t.point(0), &[1.0, 2.0, 3.0]);
-        let nn = t.nearest(&[0.0, 0.0, 0.0], 5);
-        assert_eq!(nn.len(), 1);
-        assert_eq!(nn[0].0, 0);
+    fn build_flat_rejects_bad_input() {
+        assert!(KdTree::build_flat(&[], 2, &[]).is_none());
+        assert!(KdTree::build_flat(&[1.0, 2.0, 3.0], 2, &[0]).is_none());
+        assert!(KdTree::build_flat(&[1.0], 0, &[0]).is_none());
+        assert!(KdTree::build_flat(&[1.0, 2.0], 2, &[0, 1]).is_none());
+        assert!(KdTree::build_flat(&[1.0, 2.0], 2, &[7]).is_some());
     }
 
     #[test]
-    fn k_zero_returns_empty() {
-        let t = KdTree::build(vec![vec![1.0]]).unwrap();
-        assert!(t.nearest(&[0.0], 0).is_empty());
-    }
-
-    #[test]
-    fn matches_brute_force_3d() {
-        let mut rng = StdRng::seed_from_u64(0x3D);
-        let points: Vec<Vec<f64>> = (0..500)
-            .map(|_| (0..3).map(|_| rng.gen_range(-10.0..10.0)).collect())
+    fn layout_follows_the_tree_column_count() {
+        let mut rng = StdRng::seed_from_u64(0x1A7);
+        assert!(index(&random_rows(&mut rng, 40, 3, 5.0)).uses_trees());
+        assert!(index(&random_rows(&mut rng, 40, 8, 5.0)).uses_trees());
+        assert!(!index(&random_rows(&mut rng, 40, 9, 5.0)).uses_trees());
+        // Key columns (0 or one shared value) do not count: 2 tree columns
+        // beside 20 one-hot columns.
+        let keyed: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                let mut r = vec![rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)];
+                r.extend((0..20).map(|j| if j == i % 5 { 3.0 } else { 0.0 }));
+                r
+            })
             .collect();
-        let tree = KdTree::build(points.clone()).unwrap();
-        for _ in 0..50 {
-            let q: Vec<f64> = (0..3).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            for k in [1, 3, 16] {
-                let got = tree.nearest(&q, k);
-                let want = brute_force_nearest(&points, &q, k);
-                let got_d: Vec<f64> = got.iter().map(|g| g.1).collect();
-                let want_d: Vec<f64> = want.iter().map(|w| w.1).collect();
-                for (g, w) in got_d.iter().zip(&want_d) {
-                    assert!((g - w).abs() < 1e-9, "k={k}: {got_d:?} vs {want_d:?}");
-                }
-            }
+        assert!(index(&keyed).uses_trees());
+        // No tree column: every column is two-valued, or there is one row.
+        assert!(!index(&[vec![0.0, 1.0], vec![2.0, 0.0]]).uses_trees());
+        assert!(!index(&[vec![1.0, 2.0, 3.0]]).uses_trees());
+    }
+
+    #[test]
+    fn single_row_and_k_zero() {
+        for rows in [
+            vec![vec![1.0, 2.0, 3.0]],
+            vec![vec![0.0], vec![1.5], vec![4.0]],
+        ] {
+            let idx = index(&rows);
+            let nn = nearest(&idx, &vec![0.0; rows[0].len()], 5);
+            assert_eq!(nn.len(), rows.len());
+            assert_eq!(nn[0].0, 0);
+            assert!(nearest(&idx, &vec![0.0; rows[0].len()], 0).is_empty());
         }
     }
 
     #[test]
-    fn arena_tree_identical_to_brute_force() {
-        // Stronger than distance tolerance: the arena tree must return the
-        // exact same (index, distance) pairs, bit for bit.
+    fn identical_to_brute_force_across_dimensions() {
+        // The exact same (index, distance) pairs, bit for bit, on both
+        // layouts: trees up to 8 columns, the scan above.
         let mut rng = StdRng::seed_from_u64(0xA7E4A);
-        for dim in [1, 2, 3, 5, 8] {
-            let points: Vec<Vec<f64>> = (0..300)
-                .map(|_| (0..dim).map(|_| rng.gen_range(-10.0..10.0)).collect())
-                .collect();
-            let tree = KdTree::build(points.clone()).unwrap();
+        for dim in [1, 2, 3, 5, 8, 12] {
+            let idx = index(&random_rows(&mut rng, 300, dim, 10.0));
+            assert_eq!(idx.uses_trees(), dim <= KDTREE_MAX_DIM);
             for _ in 0..20 {
                 let q: Vec<f64> = (0..dim).map(|_| rng.gen_range(-10.0..10.0)).collect();
                 for k in [1, 4, 16, 300] {
-                    assert_eq!(
-                        tree.nearest(&q, k),
-                        brute_force_nearest(&points, &q, k),
-                        "dim={dim} k={k}"
-                    );
+                    assert_eq!(nearest(&idx, &q, k), oracle(&idx, &q, k), "dim={dim} k={k}");
                 }
             }
         }
@@ -630,24 +758,21 @@ mod tests {
     #[test]
     fn exact_distance_ties_resolve_by_index_like_brute_force() {
         // A lattice of duplicated coordinates makes distance ties at the k
-        // boundary routine; the tree must pick the same tied indices brute
+        // boundary routine; the index must pick the same tied rows brute
         // force does (lowest index first), for queries on and off points.
-        let mut points = Vec::new();
+        let mut rows = Vec::new();
         for x in 0..4 {
             for y in 0..4 {
                 for _copy in 0..2 {
-                    points.push(vec![f64::from(x), f64::from(y)]);
+                    rows.push(vec![f64::from(x), f64::from(y)]);
                 }
             }
         }
-        let tree = KdTree::build(points.clone()).unwrap();
+        let idx = index(&rows);
+        assert!(idx.uses_trees());
         for q in [[1.0, 1.0], [1.5, 1.5], [0.0, 2.0], [3.5, 0.5], [2.0, 2.5]] {
             for k in [1, 2, 3, 5, 8, 13, 32] {
-                assert_eq!(
-                    tree.nearest(&q, k),
-                    brute_force_nearest(&points, &q, k),
-                    "q={q:?} k={k}"
-                );
+                assert_eq!(nearest(&idx, &q, k), oracle(&idx, &q, k), "q={q:?} k={k}");
             }
         }
     }
@@ -657,15 +782,88 @@ mod tests {
         // The two squared distances differ in their last bit but share a
         // square root; brute force ranks on that root and so prefers the
         // lower index, where ranking on the squared distance picks row 1.
-        let points = vec![vec![1.0000003, 0.5000000000000001], vec![1.0000003, 0.5]];
+        // Row 2 gives both columns a second non-zero value, so the index
+        // builds a tree over them.
+        let rows = vec![
+            vec![1.0000003, 0.5000000000000001],
+            vec![1.0000003, 0.5],
+            vec![4.0, 4.0],
+        ];
         let (k0, k1) = (
-            sq_euclidean(&points[0], &[0.0, 0.0]),
-            sq_euclidean(&points[1], &[0.0, 0.0]),
+            sq_euclidean(&rows[0], &[0.0, 0.0]),
+            sq_euclidean(&rows[1], &[0.0, 0.0]),
         );
         assert!(k0 > k1 && k0.sqrt() == k1.sqrt());
-        let want = brute_force_nearest(&points, &[0.0, 0.0], 1);
+        let idx = index(&rows);
+        assert!(idx.uses_trees());
+        let want = oracle(&idx, &[0.0, 0.0], 1);
         assert_eq!(want, vec![(0, 1.1180342570780601)]);
-        assert_eq!(KdTree::build(points).unwrap().nearest(&[0.0, 0.0], 1), want);
+        assert_eq!(nearest(&idx, &[0.0, 0.0], 1), want);
+    }
+
+    #[test]
+    fn grouped_keys_match_brute_force_with_one_scratch() {
+        // [x, y, z | one-hot MAC ×3 scaled by 3 | one-hot channel ×2]: one
+        // tree per (MAC, channel) pair. One scratch serves every query, so
+        // its cached group order is reused within a key and rebuilt across
+        // keys, including keys no row has.
+        let mut rng = StdRng::seed_from_u64(0x6E0);
+        let row = |rng: &mut StdRng, mac: Option<usize>, chan: Option<usize>| {
+            let mut r: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..4.0)).collect();
+            r.extend((0..3).map(|m| if mac == Some(m) { 3.0 } else { 0.0 }));
+            r.extend((0..2).map(|c| if chan == Some(c) { 1.0 } else { 0.0 }));
+            r
+        };
+        let rows: Vec<Vec<f64>> = (0..200)
+            .map(|_| {
+                let (mac, chan) = (rng.gen_range(0..3), rng.gen_range(0..2));
+                row(&mut rng, Some(mac), Some(chan))
+            })
+            .collect();
+        let idx = index(&rows);
+        assert!(idx.uses_trees());
+        let mut scratch = IndexScratch::default();
+        let mut out = Vec::new();
+        for key in [(0, 0), (0, 0), (2, 1), (3, 0), (1, 2), (0, 0)] {
+            let (mac, chan) = ((key.0 < 3).then_some(key.0), (key.1 < 2).then_some(key.1));
+            for _ in 0..4 {
+                let q = row(&mut rng, mac, chan);
+                for k in [1, 3, 16, 24, 200] {
+                    idx.nearest_into(&q, k, &mut scratch, &mut out);
+                    assert_eq!(out, oracle(&idx, &q, k), "key={key:?} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_several_indexes() {
+        // Same key columns, one group in `a` and two in `b`: a scratch's
+        // cached group order must not carry over from one index to the
+        // other, or `b` would search only its first group.
+        let a = index(&[
+            vec![0.0, 1.0, 0.0],
+            vec![1.0, 1.0, 0.0],
+            vec![2.0, 1.0, 0.0],
+        ]);
+        let b = index(&[
+            vec![5.0, 0.0, 1.0],
+            vec![6.0, 0.0, 1.0],
+            vec![7.0, 0.0, 1.0],
+            vec![0.0, 1.0, 0.0],
+        ]);
+        let mut scratch = IndexScratch::default();
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            for (idx, q) in [
+                (&a, [0.5, 1.0, 0.0]),
+                (&b, [0.5, 1.0, 0.0]),
+                (&b, [6.2, 0.0, 1.0]),
+            ] {
+                idx.nearest_into(&q, 2, &mut scratch, &mut out);
+                assert_eq!(out, oracle(idx, &q, 2), "q={q:?}");
+            }
+        }
     }
 
     #[test]
@@ -685,57 +883,26 @@ mod tests {
     }
 
     #[test]
-    fn nearest_into_reuses_buffers() {
-        let t = KdTree::build(vec![vec![0.0], vec![5.0], vec![2.0]]).unwrap();
-        let mut scratch = NeighborScratch::default();
-        let mut out = Vec::new();
-        t.nearest_into(&[4.9], 2, &mut scratch, &mut out);
-        assert_eq!(out, t.nearest(&[4.9], 2));
-        t.nearest_into(&[0.1], 1, &mut scratch, &mut out);
-        assert_eq!(out, t.nearest(&[0.1], 1));
-    }
-
-    #[test]
-    fn matches_brute_force_high_dim() {
-        // Even where the tree is slow it must stay exact.
-        let mut rng = StdRng::seed_from_u64(0xD1E);
-        let points: Vec<Vec<f64>> = (0..200)
-            .map(|_| (0..12).map(|_| rng.gen_range(0.0..1.0)).collect())
-            .collect();
-        let tree = KdTree::build(points.clone()).unwrap();
-        let q: Vec<f64> = (0..12).map(|_| rng.gen_range(0.0..1.0)).collect();
-        let got = tree.nearest(&q, 5);
-        let want = brute_force_nearest(&points, &q, 5);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.1 - w.1).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn duplicate_points_all_returned() {
-        let points = vec![vec![1.0, 1.0]; 4];
-        let tree = KdTree::build(points).unwrap();
-        let nn = tree.nearest(&[1.0, 1.0], 4);
-        assert_eq!(nn.len(), 4);
-        let mut idx: Vec<usize> = nn.iter().map(|n| n.0).collect();
-        idx.sort_unstable();
-        assert_eq!(idx, vec![0, 1, 2, 3]);
+    fn duplicate_rows_all_returned() {
+        let mut rows = vec![vec![1.0, 1.0]; 4];
+        rows.push(vec![2.0, 3.0]);
+        let idx = index(&rows);
+        assert!(idx.uses_trees());
+        let nn = nearest(&idx, &[1.0, 1.0], 4);
+        assert_eq!(nn.iter().map(|n| n.0).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert!(nn.iter().all(|n| n.1 == 0.0));
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_query_dim_panics() {
-        let t = KdTree::build(vec![vec![1.0, 2.0]]).unwrap();
-        t.nearest(&[1.0], 1);
+        nearest(&index(&[vec![1.0, 2.0], vec![3.0, 5.0]]), &[1.0], 1);
     }
 
     #[test]
     fn results_sorted_nearest_first() {
-        let points = vec![vec![0.0], vec![5.0], vec![2.0], vec![8.0]];
-        let tree = KdTree::build(points).unwrap();
-        let nn = tree.nearest(&[1.0], 3);
-        let dists: Vec<f64> = nn.iter().map(|n| n.1).collect();
+        let idx = index(&[vec![0.0], vec![5.0], vec![2.0], vec![8.0]]);
+        let dists: Vec<f64> = nearest(&idx, &[1.0], 3).iter().map(|n| n.1).collect();
         assert_eq!(dists, vec![1.0, 1.0, 4.0]);
     }
 
@@ -744,18 +911,11 @@ mod tests {
         // Sizes chosen to straddle the leaf threshold and its multiples so
         // both the single-leaf and deep-split code paths are exercised.
         let mut rng = StdRng::seed_from_u64(0x1EAF);
-        for n in [1usize, 2, 15, 16, 17, 33, 64, 257] {
-            let points: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..3).map(|_| rng.gen_range(-5.0..5.0)).collect())
-                .collect();
-            let tree = KdTree::build(points.clone()).unwrap();
+        for n in [2usize, 15, 16, 17, 33, 64, 257] {
+            let idx = index(&random_rows(&mut rng, n, 3, 5.0));
             let q: Vec<f64> = (0..3).map(|_| rng.gen_range(-5.0..5.0)).collect();
             for k in [1, 4, n] {
-                assert_eq!(
-                    tree.nearest(&q, k),
-                    brute_force_nearest(&points, &q, k),
-                    "n={n} k={k}"
-                );
+                assert_eq!(nearest(&idx, &q, k), oracle(&idx, &q, k), "n={n} k={k}");
             }
         }
     }

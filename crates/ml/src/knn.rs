@@ -8,34 +8,15 @@
 //! of those knobs exist here; the ×3 trick is the
 //! [`KnnRegressor::with_feature_scaling`] hook.
 //!
-//! # Backends
+//! # Neighbour search
 //!
-//! The paper's rows are `[x, y, z | one-hot MAC | one-hot channel]`: 60 to
-//! 80 columns, of which only the coordinates take more than two values.
-//! At fit time a column is a **key** column when every training value is
-//! 0 or one shared value (a one-hot column, scaled or not, or a constant
-//! one) and a **tree** column otherwise. A Euclidean fit with 1 to
-//! `KDTREE_MAX_DIM` (8) tree columns builds the grouped index: rows with the
-//! same key values form a group, and each group gets a [`KdTree`] over its
-//! tree columns. A query visits groups in ascending key offset — the
-//! squared distance between its key columns and the group's, which every
-//! row of the group shares — and stops at the first group whose offset
-//! cannot beat its k-th neighbour. Any other fit scans its rows
-//! exhaustively.
-//!
-//! Both backends rank rows by `(√K, index)` with `K` the [`sq_euclidean`]
-//! of the full scaled rows, exactly as
-//! [`brute_force_nearest_flat`](crate::kdtree::brute_force_nearest_flat) does:
-//! the index only skips rows it has proved cannot rank (see
-//! [`crate::kdtree`]), so every prediction is bit-identical to a
-//! brute-force scan. The fitted training set is stored exactly once, as
-//! flat row-major storage, with the per-group trees holding only the tree
-//! columns.
+//! A Euclidean fit hands its (scaled) rows to a [`NeighborIndex`], which
+//! keeps one KD-tree per one-hot key over the paper's coordinate columns
+//! and returns exactly the neighbours a brute-force scan would, so every
+//! prediction is bit-identical to one. Other Minkowski orders scan every
+//! row.
 
-use crate::kdtree::{
-    brute_force_topk_into, top_k_from_candidates, GroupProbe, KdTree, NeighborScratch,
-    MAX_PROBE_DIM,
-};
+use crate::kdtree::{top_k_from_candidates, IndexScratch, NeighborIndex};
 use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
 use aerorem_numerics::kernels::{sq_euclidean, taxicab};
 
@@ -49,174 +30,17 @@ pub enum Weighting {
     Distance,
 }
 
-/// Most tree columns the grouped index accepts; a fit with more scans its
-/// rows instead, since a KD-tree prunes little above this dimension (see
-/// the `knn_backends` bench).
-const KDTREE_MAX_DIM: usize = 8;
-
-/// Fitted neighbour-search backend. Either variant is the sole owner of the
-/// (scaled) training features, in flat row-major form.
+/// Fitted neighbour search; either variant is the sole owner of the
+/// (scaled) training rows.
 #[derive(Debug, Clone)]
 enum Fitted {
-    /// Grouped index for Euclidean fits with few tree columns.
-    Index(GroupedIndex),
-    /// Flat row-major training rows scanned exhaustively.
-    Brute {
-        /// `rows × dim` scaled feature values.
-        data: Vec<f64>,
+    /// Euclidean fits search the neighbour index.
+    Index(NeighborIndex),
+    /// Other Minkowski orders scan every row.
+    Minkowski {
+        /// The scaled training rows.
+        data: FeatureMatrix,
     },
-}
-
-impl Fitted {
-    /// The grouped index when the Euclidean training set splits into 1 to
-    /// [`KDTREE_MAX_DIM`] tree columns plus key columns, brute force
-    /// otherwise.
-    fn euclidean(data: Vec<f64>, dim: usize) -> Fitted {
-        // One row-major pass: column c is a key column while every value
-        // seen is 0 or the first non-zero value seen.
-        let mut shared: Vec<Option<f64>> = vec![None; dim];
-        let mut is_key = vec![true; dim];
-        for row in data.chunks_exact(dim) {
-            for ((&v, first), key) in row.iter().zip(&mut shared).zip(&mut is_key) {
-                if v != 0.0 && *first.get_or_insert(v) != v {
-                    *key = false;
-                }
-            }
-        }
-        let (key_cols, tree_cols): (Vec<usize>, Vec<usize>) = (0..dim).partition(|&c| is_key[c]);
-        let rows = data.len() / dim;
-        if tree_cols.is_empty()
-            || tree_cols.len() > KDTREE_MAX_DIM
-            || dim > MAX_PROBE_DIM
-            || rows >= u32::MAX as usize
-        {
-            return Fitted::Brute { data };
-        }
-        Fitted::Index(GroupedIndex::build(data, dim, key_cols, tree_cols))
-    }
-}
-
-/// The grouped index (see the module docs): full rows for the exact
-/// score, and one KD-tree per distinct key over the tree columns.
-#[derive(Debug, Clone)]
-struct GroupedIndex {
-    /// `rows × dim` scaled feature values.
-    data: Vec<f64>,
-    key_cols: Vec<usize>,
-    tree_cols: Vec<usize>,
-    groups: Vec<Group>,
-}
-
-/// The training rows sharing one key.
-#[derive(Debug, Clone)]
-struct Group {
-    /// The rows' values in the key columns.
-    key: Vec<f64>,
-    /// Row id of each tree point.
-    rows: Vec<u32>,
-    /// KD-tree over the rows' tree columns.
-    tree: KdTree,
-}
-
-/// Reusable per-query search state. The group order depends only on the
-/// query's key columns, so it is kept for as long as consecutive queries
-/// share them — a whole lattice fill for one AP.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// Key columns the cached `order` was computed for.
-    key: Vec<f64>,
-    /// `(offset, group)` in ascending offset, ties by group.
-    order: Vec<(f64, usize)>,
-    tree_query: Vec<f64>,
-    heap: NeighborScratch,
-    cand: Vec<(usize, f64)>,
-}
-
-impl GroupedIndex {
-    fn build(data: Vec<f64>, dim: usize, key_cols: Vec<usize>, tree_cols: Vec<usize>) -> Self {
-        // A key value is 0 or the column's shared value, so a row's key is
-        // the set of key columns it sets, packed into bit words (±0 give
-        // the same distance terms, so they are one key value).
-        let words = key_cols.len() / 64 + 1;
-        let mut bits = vec![0u64; data.len() / dim * words];
-        for (row, key) in data.chunks_exact(dim).zip(bits.chunks_exact_mut(words)) {
-            for (j, &c) in key_cols.iter().enumerate() {
-                key[j / 64] |= u64::from(row[c] != 0.0) << (j % 64);
-            }
-        }
-        let key_of = |r: usize| &bits[r * words..(r + 1) * words];
-        // Stable: rows stay in ascending order within their group.
-        let mut order: Vec<usize> = (0..data.len() / dim).collect();
-        order.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
-        let flat = data.as_slice();
-        let groups = order
-            .chunk_by(|&a, &b| key_of(a) == key_of(b))
-            .map(|rows| {
-                let points = rows
-                    .iter()
-                    .flat_map(|&r| tree_cols.iter().map(move |&c| flat[r * dim + c]))
-                    .collect();
-                Group {
-                    key: key_cols.iter().map(|&c| flat[rows[0] * dim + c]).collect(),
-                    rows: rows.iter().map(|&r| r as u32).collect(),
-                    tree: KdTree::build_flat(points, tree_cols.len())
-                        .expect("a group holds at least one row"),
-                }
-            })
-            .collect();
-        GroupedIndex {
-            data,
-            key_cols,
-            tree_cols,
-            groups,
-        }
-    }
-
-    /// The `k` nearest rows to the (scaled) `query`, as brute force ranks
-    /// them, into `out`.
-    fn nearest_into(&self, query: &[f64], k: usize, s: &mut Scratch, out: &mut Vec<(usize, f64)>) {
-        let same_key = !s.order.is_empty()
-            && self
-                .key_cols
-                .iter()
-                .zip(&s.key)
-                .all(|(&c, v)| query[c].to_bits() == v.to_bits());
-        if !same_key {
-            s.key.clear();
-            s.key.extend(self.key_cols.iter().map(|&c| query[c]));
-            s.order.clear();
-            s.order.extend(
-                self.groups
-                    .iter()
-                    .enumerate()
-                    .map(|(g, group)| (sq_euclidean(&s.key, &group.key), g)),
-            );
-            s.order
-                .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
-        s.tree_query.clear();
-        s.tree_query
-            .extend(self.tree_cols.iter().map(|&c| query[c]));
-        s.heap.clear();
-        for &(offset, g) in &s.order {
-            // Later groups have offsets at least this large, and every row
-            // of a group lies at least its offset away.
-            if !s.heap.may_enter(k, offset) {
-                break;
-            }
-            let group = &self.groups[g];
-            let probe = GroupProbe {
-                offset,
-                rows: &group.rows,
-                data: &self.data,
-                query,
-            };
-            group
-                .tree
-                .search_group(&s.tree_query, k, &probe, &mut s.heap);
-        }
-        s.heap.drain_sorted_into(out);
-    }
 }
 
 /// A kNN regressor with Minkowski metric.
@@ -309,10 +133,10 @@ impl KnnRegressor {
         self.k
     }
 
-    /// Whether the fitted model searches the grouped KD-tree index rather
-    /// than scanning every row.
+    /// Whether the fitted model searches the neighbour index's per-key
+    /// KD-trees rather than scanning every row.
     pub fn uses_kdtree(&self) -> bool {
-        matches!(self.fitted, Some(Fitted::Index(_)))
+        matches!(&self.fitted, Some(Fitted::Index(index)) if index.uses_trees())
     }
 
     fn is_euclidean(&self) -> bool {
@@ -355,18 +179,15 @@ impl KnnRegressor {
         &self,
         fitted: &Fitted,
         query: &[f64],
-        s: &mut Scratch,
+        s: &mut IndexScratch,
         nn: &mut Vec<(usize, f64)>,
     ) {
         match fitted {
             Fitted::Index(index) => index.nearest_into(query, self.k, s, nn),
-            Fitted::Brute { data } if self.is_euclidean() => {
-                brute_force_topk_into(data, query.len(), query, self.k, &mut s.cand, nn);
-            }
-            Fitted::Brute { data } => {
+            Fitted::Minkowski { data } => {
                 s.cand.clear();
                 s.cand.extend(
-                    data.chunks_exact(query.len())
+                    data.iter()
                         .enumerate()
                         .map(|(i, p)| (i, self.minkowski(p, query))),
                 );
@@ -419,38 +240,40 @@ impl KnnRegressor {
 }
 
 impl KnnRegressor {
-    /// Shared fit core: installs the already-flattened (scaled) training
-    /// set. Both `fit` and `fit_batch` end here, so the two are
-    /// bit-identical by construction.
-    fn fit_flat(&mut self, flat: Vec<f64>, y: &[f64], dim: usize) -> Result<(), MlError> {
-        if let Some(scale) = &self.feature_scale {
-            if scale.len() != dim {
-                return Err(MlError::DimensionMismatch {
-                    expected: dim,
-                    found: scale.len(),
-                });
-            }
-        }
+    /// Shared fit core: installs the already-scaled training rows. Both
+    /// `fit` and `fit_batch` end here, so the two are bit-identical by
+    /// construction.
+    fn fit_rows(&mut self, rows: FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
         self.y = y.to_vec();
-        self.dim = Some(dim);
+        self.dim = Some(rows.dim());
         self.fitted = Some(if self.is_euclidean() {
-            Fitted::euclidean(flat, dim)
+            Fitted::Index(NeighborIndex::new(rows))
         } else {
-            Fitted::Brute { data: flat }
+            Fitted::Minkowski { data: rows }
         });
         Ok(())
     }
 
-    /// Single flat copy of the (scaled) training set; whichever backend is
-    /// chosen takes ownership of it.
+    /// Single flat copy of the (scaled) training set, which the fitted
+    /// search takes ownership of.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::DimensionMismatch`] when the scale's length is not `dim`.
     fn flatten_scaled<'r>(
         &self,
         rows: impl Iterator<Item = &'r [f64]>,
         n: usize,
         dim: usize,
-    ) -> Vec<f64> {
+    ) -> Result<FeatureMatrix, MlError> {
         let mut flat = Vec::with_capacity(n * dim);
         match &self.feature_scale {
+            Some(s) if s.len() != dim => {
+                return Err(MlError::DimensionMismatch {
+                    expected: dim,
+                    found: s.len(),
+                });
+            }
             Some(s) => {
                 for row in rows {
                     flat.extend(row.iter().zip(s).map(|(v, w)| v * w));
@@ -462,34 +285,26 @@ impl KnnRegressor {
                 }
             }
         }
-        flat
+        Ok(FeatureMatrix::from_flat(dim, flat).expect("whole rows of a validated width"))
     }
 }
 
 impl Regressor for KnnRegressor {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
         let dim = validate_xy(x, y)?;
-        if let Some(scale) = &self.feature_scale {
-            if scale.len() != dim {
-                return Err(MlError::DimensionMismatch {
-                    expected: dim,
-                    found: scale.len(),
-                });
-            }
-        }
-        let flat = self.flatten_scaled(x.iter().map(Vec::as_slice), x.len(), dim);
-        self.fit_flat(flat, y, dim)
+        let rows = self.flatten_scaled(x.iter().map(Vec::as_slice), x.len(), dim)?;
+        self.fit_rows(rows, y)
     }
 
     fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
         let dim = validate_matrix_y(xs, y)?;
         // Unscaled fits take the flat storage in one memcpy; scaled fits
         // stream it through the same per-element multiply `fit` uses.
-        let flat = match &self.feature_scale {
-            None => xs.as_slice().to_vec(),
-            Some(_) => self.flatten_scaled(xs.iter(), xs.rows(), dim),
+        let rows = match &self.feature_scale {
+            None => xs.clone(),
+            Some(_) => self.flatten_scaled(xs.iter(), xs.rows(), dim)?,
         };
-        self.fit_flat(flat, y, dim)
+        self.fit_rows(rows, y)
     }
 
     fn predict_one(&self, x: &[f64]) -> Result<f64, MlError> {
@@ -498,7 +313,7 @@ impl Regressor for KnnRegressor {
         let mut query = Vec::with_capacity(x.len());
         self.scale_into(x, &mut query);
         let mut nn = Vec::new();
-        self.neighbours_into(fitted, &query, &mut Scratch::default(), &mut nn);
+        self.neighbours_into(fitted, &query, &mut IndexScratch::default(), &mut nn);
         Ok(self.aggregate(&nn))
     }
 
@@ -508,7 +323,7 @@ impl Regressor for KnnRegressor {
         let mut out = Vec::with_capacity(xs.rows());
         // All per-query state is hoisted out of the loop and reused.
         let mut query: Vec<f64> = Vec::with_capacity(dim);
-        let mut scratch = Scratch::default();
+        let mut scratch = IndexScratch::default();
         let mut nn: Vec<(usize, f64)> = Vec::new();
         for row in xs.iter() {
             self.scale_into(row, &mut query);

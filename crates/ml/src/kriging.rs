@@ -16,7 +16,7 @@ use aerorem_numerics::exec::{self, ExecPolicy};
 use aerorem_numerics::kernels::sq_euclidean;
 use aerorem_numerics::{LuFactors, Matrix};
 
-use crate::kdtree::{brute_force_topk_into, KdTree, NeighborScratch};
+use crate::kdtree::{IndexScratch, NeighborIndex};
 use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
 
 /// Parametric semivariogram families.
@@ -393,66 +393,12 @@ pub struct OrdinaryKriging {
     y: Vec<f64>,
 }
 
-/// Feature dimension at or below which `fit` builds the leaf-based SoA
-/// [`KdTree`] for neighbour search (the same cutoff as the kNN backend):
-/// low-dimensional spatial features prune well, while the paper-scale
-/// ~80-MAC one-hot encodings degenerate to a full scan with extra
-/// bookkeeping, so they keep the flat brute-force kernel.
-const KDTREE_MAX_DIM: usize = 8;
-
 /// Chunk-sizing hint for the batched kriging paths. One kriging query costs
 /// a neighbour search plus at least an O(k²) back-substitution, so modest
 /// chunks amortize the executor's bookkeeping; the cap keeps millions of
 /// voxels claimable for load balance. A pure function of the row count, so
 /// both policies run identical chunk partitions.
 const KRIGING_BATCH_GRAN: exec::Granularity = exec::Granularity::new(64, 4096);
-
-/// The fitted neighbour-search backend: the training rows, stored once.
-#[derive(Debug, Clone)]
-enum NeighborIndex {
-    /// Leaf-based SoA KD-tree (low-dimensional features). Returns exactly
-    /// the same `(index, distance)` pairs as the brute-force scan,
-    /// including tie order — proven in the `kdtree` unit tests.
-    Tree(KdTree),
-    /// Flat brute-force top-k scan (high-dimensional features).
-    Brute(FeatureMatrix),
-}
-
-impl NeighborIndex {
-    fn dim(&self) -> usize {
-        match self {
-            NeighborIndex::Tree(t) => t.dim(),
-            NeighborIndex::Brute(m) => m.dim(),
-        }
-    }
-
-    /// Training row `i`, original insertion order under both backends.
-    fn row(&self, i: usize) -> &[f64] {
-        match self {
-            NeighborIndex::Tree(t) => t.point(i),
-            NeighborIndex::Brute(m) => m.row(i),
-        }
-    }
-
-    /// Flat row-major training storage, original insertion order.
-    fn as_slice(&self) -> &[f64] {
-        match self {
-            NeighborIndex::Tree(t) => t.points_flat(),
-            NeighborIndex::Brute(m) => m.as_slice(),
-        }
-    }
-
-    /// The `k` nearest training rows to `q`, nearest first, ties by index —
-    /// the identical contract from both backends.
-    fn nearest_into(&self, q: &[f64], k: usize, scratch: &mut KrigingScratch) {
-        match self {
-            NeighborIndex::Tree(t) => t.nearest_into(q, k, &mut scratch.tree, &mut scratch.nn),
-            NeighborIndex::Brute(m) => {
-                brute_force_topk_into(m.as_slice(), m.dim(), q, k, &mut scratch.cand, &mut scratch.nn);
-            }
-        }
-    }
-}
 
 /// Factor-cache hit/miss counters for the kriging solver, harvested from
 /// [`KrigingScratch::cache_stats`] or returned by the batched prediction
@@ -504,8 +450,7 @@ impl KrigingCacheStats {
 /// than corrupting output.
 #[derive(Debug, Default, Clone)]
 pub struct KrigingScratch {
-    cand: Vec<(usize, f64)>,
-    tree: NeighborScratch,
+    index: IndexScratch,
     nn: Vec<(usize, f64)>,
     a: Option<Matrix>,
     b: Vec<f64>,
@@ -569,7 +514,7 @@ impl OrdinaryKriging {
     /// Identifies this model's training storage for the scratch-held factor
     /// cache: cached factors are only reused while the fingerprint matches.
     fn cache_token(&self, index: &NeighborIndex) -> (usize, usize) {
-        let flat = index.as_slice();
+        let flat = index.rows().as_slice();
         (flat.as_ptr() as usize, flat.len())
     }
 
@@ -590,13 +535,19 @@ impl OrdinaryKriging {
     ) -> Result<(f64, f64), MlError> {
         let index = self.index.as_ref().ok_or(MlError::NotFitted)?;
         let vgram = self.variogram.ok_or(MlError::NotFitted)?;
-        if q.len() != index.dim() {
+        let rows = index.rows();
+        if q.len() != rows.dim() {
             return Err(MlError::DimensionMismatch {
-                expected: index.dim(),
+                expected: rows.dim(),
                 found: q.len(),
             });
         }
-        index.nearest_into(q, self.config.max_neighbors, scratch);
+        index.nearest_into(
+            q,
+            self.config.max_neighbors,
+            &mut scratch.index,
+            &mut scratch.nn,
+        );
         if let Some(&(i, d)) = scratch.nn.first() {
             if d < 1e-12 {
                 return Ok((self.y[i], 0.0));
@@ -632,7 +583,7 @@ impl OrdinaryKriging {
                 // from one evaluation. γ(0) = 0 keeps the diagonal at the
                 // jitter value alone.
                 for (rj, &(j, _)) in scratch.nn.iter().enumerate().skip(ri + 1) {
-                    let h = sq_euclidean(index.row(i), index.row(j)).sqrt();
+                    let h = sq_euclidean(rows.row(i), rows.row(j)).sqrt();
                     let g = vgram.gamma(h);
                     a[(ri, rj)] = g;
                     a[(rj, ri)] = g;
@@ -763,17 +714,8 @@ impl OrdinaryKriging {
             bins = empirical_variogram_matrix(&xm, y, self.config.n_bins, max_lag * 1.01, policy)?;
         }
         self.variogram = Some(fit_variogram_with(&bins, self.config.variogram, policy)?);
-        // Build the neighbour backend once per fit: the KD-tree owns the
-        // single flat copy of the training rows and replaces the per-query
-        // brute-force scan wherever the dimension gate lets it prune.
-        self.index = Some(if xm.dim() <= KDTREE_MAX_DIM {
-            match KdTree::build_flat(xm.as_slice().to_vec(), xm.dim()) {
-                Some(tree) => NeighborIndex::Tree(tree),
-                None => NeighborIndex::Brute(xm),
-            }
-        } else {
-            NeighborIndex::Brute(xm)
-        });
+        // The neighbour index owns the single copy of the training rows.
+        self.index = Some(NeighborIndex::new(xm));
         self.y = y.to_vec();
         Ok(())
     }
@@ -1034,7 +976,8 @@ mod tests {
         }
     }
 
-    /// A 2-D fitted model (KD-tree backend) over a deterministic grid.
+    /// A 2-D fitted model (one KD-tree in its index) over a deterministic
+    /// grid.
     fn fitted_2d() -> OrdinaryKriging {
         let mut x = Vec::new();
         let mut y = Vec::new();

@@ -25,12 +25,13 @@
 //! serving; a worker panic is contained by [`RemStore::submit_batch`]
 //! ([`crate::ServeError`]) and reported as [`ErrorCode::BatchFailed`].
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
@@ -107,8 +108,10 @@ struct Shared {
     /// Endpoints to poke with a throwaway connect so blocked `accept`
     /// calls wake up and observe `stop`.
     nudge: Mutex<Vec<NudgeTarget>>,
-    /// Live connection streams, shut down on stop to unblock reads.
-    conns: Mutex<Vec<ConnHandle>>,
+    /// Live connection streams by connection id, shut down on stop to
+    /// unblock reads. Each connection removes its own entry when it ends.
+    conns: Mutex<BTreeMap<u64, ConnHandle>>,
+    next_conn: AtomicU64,
 }
 
 #[derive(Clone)]
@@ -222,7 +225,8 @@ impl Daemon {
                 namespaces: RwLock::new(Vec::new()),
                 stop: AtomicBool::new(false),
                 nudge: Mutex::new(Vec::new()),
-                conns: Mutex::new(Vec::new()),
+                conns: Mutex::new(BTreeMap::new()),
+                next_conn: AtomicU64::new(0),
             }),
         }
     }
@@ -367,11 +371,9 @@ impl Daemon {
             }
             let Ok(stream) = stream else { continue };
             let _ = stream.set_nodelay(true);
-            if let Ok(clone) = stream.try_clone() {
-                lock_mutex(&self.shared.conns).push(ConnHandle::Tcp(clone));
-            }
-            let daemon = self.clone();
-            conn_threads.push(std::thread::spawn(move || daemon.serve_connection(stream)));
+            let clone = stream.try_clone().ok().map(ConnHandle::Tcp);
+            join_finished(&mut conn_threads);
+            conn_threads.push(self.spawn_connection(clone, stream));
         }
         for t in conn_threads {
             let _ = t.join();
@@ -386,11 +388,9 @@ impl Daemon {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            if let Ok(clone) = stream.try_clone() {
-                lock_mutex(&self.shared.conns).push(ConnHandle::Uds(clone));
-            }
-            let daemon = self.clone();
-            conn_threads.push(std::thread::spawn(move || daemon.serve_connection(stream)));
+            let clone = stream.try_clone().ok().map(ConnHandle::Uds);
+            join_finished(&mut conn_threads);
+            conn_threads.push(self.spawn_connection(clone, stream));
         }
         for t in conn_threads {
             let _ = t.join();
@@ -398,11 +398,32 @@ impl Daemon {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Registers a connection's stream clone, then serves the connection
+    /// on its own thread, which removes the entry when the connection
+    /// ends. Registering first means a shutdown either finds the entry and
+    /// hangs it up, or set the stop flag before the thread first checks it.
+    fn spawn_connection<S: Read + Write + Send + 'static>(
+        &self,
+        clone: Option<ConnHandle>,
+        stream: S,
+    ) -> JoinHandle<()> {
+        let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
+        if let Some(clone) = clone {
+            lock_mutex(&self.shared.conns).insert(id, clone);
+        }
+        let daemon = self.clone();
+        std::thread::spawn(move || {
+            daemon.serve_connection(stream);
+            // Bound so the clone closes after the lock is released.
+            let _ended = lock_mutex(&daemon.shared.conns).remove(&id);
+        })
+    }
+
     /// Stops serving: flips the stop flag, hangs up every live
     /// connection, and wakes every blocked accept loop.
     fn initiate_shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for conn in lock_mutex(&self.shared.conns).iter() {
+        for conn in lock_mutex(&self.shared.conns).values() {
             conn.hang_up();
         }
         // Snapshot the targets and drop the guard before connecting: a
@@ -645,6 +666,15 @@ impl ServerHandle {
     }
 }
 
+/// Joins the threads of connections that have ended, so an accept loop
+/// holds handles only for live connections and those that ended since its
+/// last accept.
+fn join_finished(threads: &mut Vec<JoinHandle<()>>) {
+    for t in threads.extract_if(.., |t| t.is_finished()) {
+        let _ = t.join();
+    }
+}
+
 /// Sends the encoded replies in `out` with one write and empties it.
 fn write_replies<S: Write>(stream: &mut S, out: &mut Vec<u8>) -> Result<(), ()> {
     if out.is_empty() {
@@ -773,6 +803,69 @@ mod tests {
         assert_eq!(code, ErrorCode::BatchFailed);
         assert!(detail.contains("panicked"));
         assert!(daemon.answer(0, &q).is_ok(), "daemon must survive the panic");
+    }
+
+    /// Runs `body` on its own thread and fails if it has not finished
+    /// within `secs` seconds, so a daemon that never joins fails the test
+    /// instead of hanging the suite.
+    fn with_watchdog(secs: u64, body: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, finished) = channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(()) => worker.join().expect("test body finished"),
+            Err(RecvTimeoutError::Disconnected) => {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("test body still running after {secs} s"),
+        }
+    }
+
+    /// Polls the connection registry until it holds `n` entries.
+    fn wait_for_registered(daemon: &Daemon, n: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            let live = lock_mutex(&daemon.shared.conns).len();
+            if live == n {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{live} connections registered, expected {n}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn ended_connections_leave_the_registry_and_shutdown_hangs_up_live_ones() {
+        with_watchdog(30, || {
+            let daemon = Daemon::new(DaemonConfig::default());
+            daemon.load("a", &snapshot_bytes(0, (4, 4, 3))).unwrap();
+            let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+            let addr = listener.endpoint().trim_start_matches("tcp ").to_string();
+            let handle = daemon.start(vec![listener]);
+            for _ in 0..64 {
+                let mut client = crate::WireClient::connect_tcp(&addr).unwrap();
+                assert_eq!(client.list().unwrap().len(), 1);
+            }
+            wait_for_registered(&daemon, 0);
+
+            // A client that stays connected and idle is still hung up by
+            // shutdown, and join returns.
+            let mut idle = TcpStream::connect(&addr).unwrap();
+            wait_for_registered(&daemon, 1);
+            handle.shutdown();
+            handle.join();
+            let mut byte = [0u8; 1];
+            assert!(matches!(idle.read(&mut byte), Ok(0) | Err(_)));
+            assert_eq!(lock_mutex(&daemon.shared.conns).len(), 0);
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 # Mirrors the Makefile; use whichever runner you have installed.
 
-check: build lint lint-diff test doc clippy bench-build bench-check faults-check serve-check serve-net-check
+check: build lint lint-diff test doc clippy bench-build perfbench-check bench-check faults-check serve-check serve-net-check
 
 build:
     cargo build --release
@@ -35,6 +35,12 @@ clippy:
 # Benches must always compile, even when nobody runs them.
 bench-build:
     cargo bench --no-run
+
+# The end-to-end benchmark (perfbench/, its own workspace) must compile
+# against the current workspace API. --locked leaves perfbench/Cargo.lock
+# as committed; a plain cargo check would rewrite it.
+perfbench-check:
+    cargo check -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Smoke-sized run of the custom-harness benches: every bit-identity
 # assertion executes (including the PR-7 executor scaling sweep, the

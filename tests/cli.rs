@@ -134,6 +134,59 @@ fn cli_rejects_bad_usage() {
 }
 
 #[test]
+fn a_non_finite_coordinate_in_the_samples_is_an_error_not_a_panic() {
+    let samples = tmp("nan_samples.csv");
+    let out = bin()
+        .args(["survey", "--seed", "3", "--waypoints", "16", "--uavs", "2"])
+        .args(["--out", samples.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Set `x` to NaN on the first row of the most-sampled MAC, which
+    // `map` keeps and fits.
+    let text = std::fs::read_to_string(&samples).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let mac_of = |line: &str| line.split(',').nth(9).unwrap_or("").to_string();
+    let mut counts = std::collections::BTreeMap::new();
+    for line in &lines[1..] {
+        *counts.entry(mac_of(line)).or_insert(0usize) += 1;
+    }
+    let top = counts.iter().max_by_key(|&(_, n)| *n).unwrap().0.clone();
+    let at = (1..lines.len())
+        .find(|&i| mac_of(&lines[i]) == top)
+        .unwrap();
+    let mut fields: Vec<&str> = lines[at].split(',').collect();
+    fields[2] = "NaN";
+    lines[at] = fields.join(",");
+    std::fs::write(&samples, lines.join("\n") + "\n").unwrap();
+
+    let out = bin()
+        .args([
+            "map",
+            "--in",
+            samples.to_str().unwrap(),
+            "--resolution",
+            "0.5",
+        ])
+        .args(["--out", tmp("nan_rem.csv").to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let error = stderr
+        .lines()
+        .find(|l| l.starts_with("error:"))
+        .unwrap_or("");
+    let line = format!("line {}: non-finite x", at + 1);
+    assert!(error.contains(&line), "{stderr}");
+    let _ = std::fs::remove_file(&samples);
+}
+
+#[test]
 fn duplicate_flags_are_rejected_not_last_wins() {
     // Before the fix, `--out a.csv --out b.csv` silently kept b.csv;
     // now every duplicated flag is a usage error naming the flag.

@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use aerorem::ml::kdtree::{brute_force_nearest, KdTree};
+use aerorem::ml::kdtree::{brute_force_nearest_flat, IndexScratch, NeighborIndex};
 use aerorem::ml::knn::{KnnRegressor, Weighting};
 use aerorem::ml::kriging::{Variogram, VariogramKind};
 use aerorem::ml::Regressor;
@@ -27,6 +27,122 @@ fn vec3() -> impl Strategy<Value = Vec3> {
         finite_f64(-50.0..50.0),
     )
         .prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
+/// The row shape of `knn_matches_the_brute_force_oracle_bits`, already
+/// scaled: `[coordinates | one-hot MAC ×1 or ×3 | one-hot channel | zeros]`
+/// with lattice-snapped coordinates, nudged up one ulp half the time, so
+/// exact distance ties and squared distances that share a square root both
+/// occur. `layout` 0 takes the index's grouped layout; 1 makes every column
+/// two-valued and 2 gives 9 coordinate columns, its two scanned layouts.
+struct OracleRows {
+    layout: usize,
+    coords: usize,
+    macs: usize,
+    chans: usize,
+    pads: usize,
+    step: f64,
+    mac_value: f64,
+}
+
+impl OracleRows {
+    fn new(rng: &mut rand::rngs::StdRng, layout: usize) -> Self {
+        use rand::Rng;
+        OracleRows {
+            layout,
+            coords: if layout == 2 { 9 } else { rng.gen_range(1..=3) },
+            macs: rng.gen_range(1..=6),
+            chans: rng.gen_range(1..=3),
+            pads: rng.gen_range(0..=2),
+            step: [0.5, 0.1, 0.3][rng.gen_range(0..3usize)],
+            mac_value: if rng.gen_bool(0.5) { 3.0 } else { 1.0 },
+        }
+    }
+
+    fn dim(&self) -> usize {
+        self.coords + self.macs + self.chans + self.pads
+    }
+
+    /// One row at `at`'s coordinates, or at random ones, with the given
+    /// one-hot MAC and channel (`None`: no column set).
+    fn row(
+        &self,
+        rng: &mut rand::rngs::StdRng,
+        at: Option<&[f64]>,
+        mac: Option<usize>,
+        chan: Option<usize>,
+    ) -> Vec<f64> {
+        use rand::Rng;
+        let step = self.step;
+        let mut v: Vec<f64> = match at {
+            Some(at) => at[..self.coords].to_vec(),
+            None if self.layout == 1 => (0..self.coords)
+                .map(|c| {
+                    if rng.gen_bool(0.5) {
+                        step * (c + 1) as f64
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+            None => (0..self.coords)
+                .map(|_| {
+                    let v = step * rng.gen_range(0..6) as f64;
+                    if rng.gen_bool(0.5) {
+                        f64::from_bits(v.to_bits() + 1)
+                    } else {
+                        v
+                    }
+                })
+                .collect(),
+        };
+        v.extend((0..self.macs).map(|m| if mac == Some(m) { self.mac_value } else { 0.0 }));
+        v.extend((0..self.chans).map(|c| f64::from(u8::from(chan == Some(c)))));
+        v.extend(std::iter::repeat_n(0.0, self.pads));
+        v
+    }
+
+    /// `n` training rows. Outside layout 1, rows 0 and 1 give every
+    /// coordinate column two distinct non-zero values, so no coordinate
+    /// column passes for a key column.
+    fn training(&self, rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Vec<f64>> {
+        use rand::Rng;
+        (0..n)
+            .map(|i| {
+                let first = (self.layout != 1 && i < 2)
+                    .then(|| vec![self.step * (i + 1) as f64; self.coords]);
+                let (mac, chan) = (rng.gen_range(0..self.macs), rng.gen_range(0..self.chans));
+                self.row(rng, first.as_deref(), Some(mac), Some(chan))
+            })
+            .collect()
+    }
+
+    /// Runs of three queries sharing a key (some keys no training row
+    /// has), then a return to the first key; half the queries sit on a
+    /// training row's coordinates, where distances of exactly 0 occur.
+    fn queries(&self, rng: &mut rand::rngs::StdRng, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        use rand::Rng;
+        let mut keys: Vec<(Option<usize>, Option<usize>)> = (0..4)
+            .map(|_| {
+                let mac = rng.gen_range(0..=self.macs);
+                let chan = rng.gen_range(0..=self.chans);
+                (
+                    (mac < self.macs).then_some(mac),
+                    (chan < self.chans).then_some(chan),
+                )
+            })
+            .collect();
+        keys.push(keys[0]);
+        keys.iter()
+            .flat_map(|&key| std::iter::repeat_n(key, 3))
+            .map(|(mac, chan)| {
+                let at = rng
+                    .gen_bool(0.5)
+                    .then(|| x[rng.gen_range(0..x.len())].clone());
+                self.row(rng, at.as_deref(), mac, chan)
+            })
+            .collect()
+    }
 }
 
 proptest! {
@@ -183,21 +299,78 @@ proptest! {
 
     // --- ml ---
 
+    /// The neighbour index returns `brute_force_nearest_flat`'s pairs bit
+    /// for bit on the kNN oracle's row shape, in all three layouts, with
+    /// one scratch reused across queries whose keys change.
     #[test]
-    fn kdtree_matches_brute_force(
-        seed in 0u64..300,
-        n in 1usize..80,
-        k in 1usize..10,
+    fn neighbor_index_matches_brute_force(
+        seed in 0u64..1_000_000,
+        layout in 0usize..3,
     ) {
+        use aerorem::ml::FeatureMatrix;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let points: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..3).map(|_| rng.gen_range(-5.0..5.0)).collect())
-            .collect();
-        let tree = KdTree::build(points.clone()).unwrap();
-        let q: Vec<f64> = (0..3).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        // The same (index, distance) pairs, bit for bit, tie order included.
-        prop_assert_eq!(tree.nearest(&q, k), brute_force_nearest(&points, &q, k));
+        let shape = OracleRows::new(&mut rng, layout);
+        let n = rng.gen_range(2..80);
+        let x = shape.training(&mut rng, n);
+        let index = NeighborIndex::new(FeatureMatrix::from_rows(&x).unwrap());
+        prop_assert_eq!(index.uses_trees(), layout == 0);
+        let bits = |nn: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            nn.iter().map(|&(i, d)| (i, d.to_bits())).collect()
+        };
+        let mut scratch = IndexScratch::default();
+        let mut out = Vec::new();
+        for q in shape.queries(&mut rng, &x) {
+            for k in [1, 3, 16, 24, n] {
+                index.nearest_into(&q, k, &mut scratch, &mut out);
+                let want = brute_force_nearest_flat(index.rows().as_slice(), shape.dim(), &q, k);
+                prop_assert_eq!(bits(&out), bits(&want), "k {} query {:?}", k, q);
+            }
+        }
+    }
+
+    /// A capped IDW equals inverse-distance weighting over
+    /// `brute_force_nearest_flat`'s neighbours bit for bit, exact-hit rule
+    /// included, per item and batched, on the kNN oracle's row shape.
+    #[test]
+    fn capped_idw_matches_the_brute_force_oracle_bits(
+        seed in 0u64..1_000_000,
+        layout in 0usize..3,
+        k_pick in 0usize..5,
+    ) {
+        use aerorem::ml::idw::IdwInterpolator;
+        use aerorem::ml::FeatureMatrix;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let shape = OracleRows::new(&mut rng, layout);
+        let n = rng.gen_range(2..80);
+        let x = shape.training(&mut rng, n);
+        let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-90.0..-30.0)).collect();
+        let k = [1, 3, 16, 24, n][k_pick];
+        let mut idw = IdwInterpolator::new(2.0, Some(k)).unwrap();
+        idw.fit(&x, &y).unwrap();
+        let data: Vec<f64> = x.concat();
+        let oracle = |q: &[f64]| -> f64 {
+            let nn = brute_force_nearest_flat(&data, shape.dim(), q, k);
+            let exact: Vec<f64> = nn.iter().filter(|p| p.1 == 0.0).map(|&(i, _)| y[i]).collect();
+            if !exact.is_empty() {
+                return exact.iter().sum::<f64>() / exact.len() as f64;
+            }
+            let (mut num, mut den) = (0.0, 0.0);
+            for &(i, d) in &nn {
+                let w = d.powf(-2.0);
+                num += w * y[i];
+                den += w;
+            }
+            num / den
+        };
+        let queries = shape.queries(&mut rng, &x);
+        let batch = idw.predict_batch(&FeatureMatrix::from_rows(&queries).unwrap()).unwrap();
+        for (q, b) in queries.iter().zip(&batch) {
+            let want = oracle(q).to_bits();
+            prop_assert_eq!(idw.predict_one(q).unwrap().to_bits(), want, "query {:?}", q);
+            prop_assert_eq!(b.to_bits(), want, "batched query {:?}", q);
+        }
     }
 
     /// The kNN oracle: whichever backend a fit picks, `predict_one` and
