@@ -964,7 +964,9 @@ pub mod sequential {
 /// strategy that never visits the unsurveyed region pays for it.
 pub mod adaptive {
     use aerorem_core::adaptive::select_uncertain_waypoints;
+    use aerorem_core::exec::ExecPolicy;
     use aerorem_core::features::{preprocess, PreprocessConfig};
+    use aerorem_core::instrument::Instrumentation;
     use aerorem_core::models::ModelKind;
     use aerorem_core::rem::RemGrid;
     use aerorem_localization::{AnchorConstellation, RangingConfig, RangingMode};
@@ -1077,13 +1079,22 @@ pub mod adaptive {
         )?;
         let mut ok = OrdinaryKriging::new(KrigingConfig::default());
         ok.fit(&data.x, &data.y)?;
+        let mut inst = Instrumentation::new();
         let sigma_grids: Vec<RemGrid> = layout
             .macs()
             .into_iter()
             .take(5)
             .map(|mac| {
-                RemGrid::generate_with_confidence(&ok, &layout, volume, 0.4, mac)
-                    .map(|(_, sigma)| sigma)
+                RemGrid::generate_with_variance(
+                    &ok,
+                    &layout,
+                    volume,
+                    0.4,
+                    mac,
+                    ExecPolicy::default(),
+                    &mut inst,
+                )
+                .map(|(_, sigma, _)| sigma)
             })
             .collect::<Result<_, _>>()?;
 

@@ -1,7 +1,7 @@
 //! Uncertainty-driven adaptive resurvey.
 //!
 //! The paper flies a *fixed* even lattice. With a kriging confidence layer
-//! ([`RemGrid::generate_with_confidence`]) the toolchain can do better:
+//! ([`RemGrid::generate_with_variance`]) the toolchain can do better:
 //! after an initial sparse survey, send the UAV back to exactly the places
 //! the map is least certain about. This module picks those follow-up
 //! waypoints by greedy *uncertainty-mass capture*: each pick maximizes the
@@ -43,10 +43,7 @@ pub fn select_uncertain_waypoints(
     let Some(first) = sigma_grids.first() else {
         return Vec::new();
     };
-    if sigma_grids
-        .iter()
-        .any(|g| g.dims() != first.dims() || g.volume() != first.volume())
-    {
+    if sigma_grids.iter().any(|g| g.lattice() != first.lattice()) {
         return Vec::new();
     }
     if k == 0 {

@@ -20,16 +20,13 @@ pub struct CoverageMap {
 impl CoverageMap {
     /// Combines per-AP REMs into a best-server coverage map.
     ///
-    /// All grids must share the same dimensions and volume (generate them
-    /// with the same resolution).
+    /// All grids must share one lattice (generate them with the same
+    /// resolution).
     ///
     /// Returns `None` when `grids` is empty or shapes disagree.
     pub fn from_rems(grids: &[RemGrid]) -> Option<Self> {
         let first = grids.first()?;
-        if grids
-            .iter()
-            .any(|g| g.dims() != first.dims() || g.volume() != first.volume())
-        {
+        if grids.iter().any(|g| g.lattice() != first.lattice()) {
             return None;
         }
         let mut cells: Vec<(Vec3, f64)> = first.cells().collect();

@@ -9,6 +9,6 @@
 //! module for the determinism contract.
 
 pub use aerorem_numerics::exec::{
-    map_chunks, map_vec_with, plan, try_map_chunks, try_map_vec_with, ExecPlan, ExecPolicy,
-    Granularity, ScratchPool,
+    map_chunks, map_vec_with, plan, try_map_vec_with, ExecPlan, ExecPolicy, Granularity,
+    ScratchPool,
 };

@@ -214,16 +214,16 @@ mod tests {
     fn exec_plans_round_trip_through_labels() {
         let mut inst = Instrumentation::new();
         inst.record_exec(
-            "rem_encode",
+            "rem_fill",
             ExecPlan {
                 workers: 4,
                 chunk: 1024,
                 chunks: 49,
             },
         );
-        assert_eq!(inst.exec_plan("rem_encode"), Some((4, 1024)));
-        assert_eq!(inst.get_label("rem_encode_workers"), Some("4"));
-        assert_eq!(inst.get_label("rem_encode_chunk"), Some("1024"));
+        assert_eq!(inst.exec_plan("rem_fill"), Some((4, 1024)));
+        assert_eq!(inst.get_label("rem_fill_workers"), Some("4"));
+        assert_eq!(inst.get_label("rem_fill_chunk"), Some("1024"));
         assert_eq!(inst.exec_plan("missing"), None);
     }
 

@@ -101,7 +101,7 @@ impl ModelKind {
                 )?)
             }
             ModelKind::Mlp16 => Box::new(Mlp::new(MlpConfig::paper_tuned())),
-            ModelKind::Idw => Box::new(IdwInterpolator::new(2.0, Some(16))?),
+            ModelKind::Idw => Box::new(IdwInterpolator::new(2.0, 16)?),
             ModelKind::Kriging => Box::new(OrdinaryKriging::new(KrigingConfig::default())),
         })
     }

@@ -141,19 +141,12 @@ impl PipelineResult {
     ///
     /// Propagates estimator errors.
     pub fn generate_rem(&self, mac: MacAddress) -> Result<RemGrid, MlError> {
-        RemGrid::generate_with(
-            self.model.as_ref(),
-            &self.layout,
-            self.campaign.plan.volume,
-            self.rem_resolution_m,
-            mac,
-            self.exec_policy,
-        )
+        self.generate_rem_instrumented(mac, &mut Instrumentation::new())
     }
 
-    /// [`PipelineResult::generate_rem`] recording the `rem_encode` /
-    /// `rem_predict` stage timings and row counters on `inst` — the CLI
-    /// uses this to report lattice voxels per second per stage.
+    /// [`PipelineResult::generate_rem`] recording the `rem_fill` stage
+    /// timing, its execution plan and the `rem_fill_rows` counter on
+    /// `inst` — the CLI uses this to report lattice voxels per second.
     ///
     /// # Errors
     ///

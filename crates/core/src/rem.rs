@@ -4,11 +4,16 @@
 //! (§I). [`RemGrid`] materializes one per MAC address from any fitted
 //! estimator: a regular lattice of predicted RSS values over the volume,
 //! queryable at arbitrary positions by nearest-cell lookup with trilinear
-//! refinement left to the caller's estimator when exactness matters.
+//! refinement left to the caller's estimator when exactness matters. The
+//! lattice is a [`VoxelLayout`], the same cell math the serving store
+//! indexes with.
+
+use std::ops::Range;
 
 use aerorem_ml::kriging::{KrigingCacheStats, KrigingScratch, OrdinaryKriging};
 use aerorem_ml::{FeatureMatrix, MlError, Regressor};
 use aerorem_propagation::ap::MacAddress;
+use aerorem_spatial::octree::VoxelLayout;
 use aerorem_spatial::{Aabb, Vec3};
 
 use crate::exec::{self, ExecPolicy};
@@ -48,9 +53,8 @@ const REM_FILL_GRAN: exec::Granularity = exec::Granularity::new(MIN_BATCH_CHUNK,
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemGrid {
     mac: MacAddress,
-    volume: Aabb,
-    dims: (usize, usize, usize),
-    /// Row-major `[z][y][x]` predictions in dBm.
+    lattice: VoxelLayout,
+    /// Row-major `[z][y][x]` predictions in dBm, one per lattice cell.
     values: Vec<f64>,
 }
 
@@ -62,11 +66,10 @@ impl RemGrid {
     ///
     /// # Errors
     ///
-    /// Propagates estimator errors (e.g. a MAC the layout dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution_m` is not positive and finite.
+    /// Propagates estimator errors (e.g. a MAC the layout dropped), and
+    /// returns [`MlError::InvalidHyperparameter`] for a `resolution_m`
+    /// that is not positive and finite or whose lattice has more cells
+    /// than `usize` counts.
     pub fn generate(
         model: &dyn Regressor,
         layout: &FeatureLayout,
@@ -77,25 +80,13 @@ impl RemGrid {
         Self::generate_with(model, layout, volume, resolution_m, mac, ExecPolicy::default())
     }
 
-    /// [`RemGrid::generate`] with an explicit execution policy.
-    ///
-    /// This is the **batched** hot path: the lattice is split into
-    /// fixed-size voxel chunks, each chunk is encoded into one contiguous
-    /// [`FeatureMatrix`] and predicted through
-    /// [`Regressor::predict_batch`], and [`ExecPolicy::Parallel`] fans the
-    /// chunks out across worker threads. Chunks are reassembled in `[z][y][x]`
-    /// order and `predict_batch` is contractually bit-identical to mapped
-    /// `predict_one`, so all four combinations (serial/parallel ×
-    /// per-voxel/batched) produce identical grids — the determinism test
-    /// checks exactly that against [`RemGrid::generate_per_voxel_with`].
+    /// [`RemGrid::generate`] with an explicit execution policy: the
+    /// batched fill of [`RemGrid::generate_instrumented`], with nothing
+    /// recorded.
     ///
     /// # Errors
     ///
-    /// Propagates estimator errors (e.g. a MAC the layout dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution_m` is not positive and finite.
+    /// As [`RemGrid::generate`].
     pub fn generate_with(
         model: &dyn Regressor,
         layout: &FeatureLayout,
@@ -104,15 +95,8 @@ impl RemGrid {
         mac: MacAddress,
         policy: ExecPolicy,
     ) -> Result<Self, MlError> {
-        let dims = Self::lattice_dims(volume, resolution_m);
-        let chunks = Self::encode_chunks(layout, volume, mac, dims, policy)?;
-        let values = Self::predict_chunks(model, &chunks, policy)?;
-        Ok(RemGrid {
-            mac,
-            volume,
-            dims,
-            values,
-        })
+        let mut inst = Instrumentation::new();
+        Self::generate_instrumented(model, layout, volume, resolution_m, mac, policy, &mut inst)
     }
 
     /// The pre-batching reference path: every voxel is encoded and
@@ -122,11 +106,7 @@ impl RemGrid {
     ///
     /// # Errors
     ///
-    /// Propagates estimator errors (e.g. a MAC the layout dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution_m` is not positive and finite.
+    /// As [`RemGrid::generate`].
     pub fn generate_per_voxel_with(
         model: &dyn Regressor,
         layout: &FeatureLayout,
@@ -135,39 +115,43 @@ impl RemGrid {
         mac: MacAddress,
         policy: ExecPolicy,
     ) -> Result<Self, MlError> {
-        let (nx, ny, nz) = Self::lattice_dims(volume, resolution_m);
-        let indices: Vec<usize> = (0..nx * ny * nz).collect();
+        let lattice = Self::lattice_at(volume, resolution_m)?;
+        let indices: Vec<usize> = (0..lattice.cell_count()).collect();
         let values = exec::try_map_vec_with(
             policy,
             exec::Granularity::per_item(),
             &exec::ScratchPool::new(|| ()),
             &indices,
             |(), &i| {
-                let p = Self::voxel_center(volume, (nx, ny, nz), i);
-                let row = layout.encode_query(p, mac)?;
+                let row = layout.encode_query(lattice.cell_center(i), mac)?;
                 model.predict_one(&row)
             },
         )?;
         Ok(RemGrid {
             mac,
-            volume,
-            dims: (nx, ny, nz),
+            lattice,
             values,
         })
     }
 
-    /// [`RemGrid::generate_with`] with per-stage instrumentation: records
-    /// `rem_encode` / `rem_predict` wall time and `rem_encode_rows` /
-    /// `rem_predict_rows` counters on `inst`, so callers can report
-    /// rows-per-second per stage.
+    /// The batched hot path, recording the fill on `inst`.
+    ///
+    /// The lattice is split into fixed-size voxel chunks; each chunk is
+    /// encoded into one contiguous [`FeatureMatrix`] and predicted through
+    /// [`Regressor::predict_batch`] in the same work item, and
+    /// [`ExecPolicy::Parallel`] fans the chunks out across worker threads.
+    /// Chunks are reassembled in `[z][y][x]` order and `predict_batch` is
+    /// contractually bit-identical to mapped `predict_one`, so all four
+    /// combinations (serial/parallel × per-voxel/batched) produce identical
+    /// grids — the determinism test checks exactly that against
+    /// [`RemGrid::generate_per_voxel_with`].
+    ///
+    /// Records the `rem_fill` stage, its execution plan and the
+    /// `rem_fill_rows` counter, so callers can report voxels per second.
     ///
     /// # Errors
     ///
-    /// Propagates estimator errors (e.g. a MAC the layout dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution_m` is not positive and finite.
+    /// As [`RemGrid::generate`].
     pub fn generate_instrumented(
         model: &dyn Regressor,
         layout: &FeatureLayout,
@@ -177,95 +161,83 @@ impl RemGrid {
         policy: ExecPolicy,
         inst: &mut Instrumentation,
     ) -> Result<Self, MlError> {
-        let dims = Self::lattice_dims(volume, resolution_m);
-        let total = dims.0 * dims.1 * dims.2;
-        let rows = total as u64;
-        inst.record_exec("rem_encode", exec::plan(policy, total, REM_FILL_GRAN));
-        let chunks =
-            inst.time("rem_encode", || Self::encode_chunks(layout, volume, mac, dims, policy))?;
-        inst.record_exec(
-            "rem_predict",
-            exec::plan(policy, chunks.len(), exec::Granularity::per_item()),
-        );
-        inst.count("rem_encode_rows", rows);
-        let values = inst.time("rem_predict", || Self::predict_chunks(model, &chunks, policy))?;
-        inst.count("rem_predict_rows", rows);
+        let lattice = Self::lattice_at(volume, resolution_m)?;
+        let pool = exec::ScratchPool::new(|| ());
+        let chunks = Self::fill(layout, &lattice, mac, policy, &pool, inst, |(), fm| {
+            model.predict_batch(fm)
+        })?;
         Ok(RemGrid {
             mac,
-            volume,
-            dims,
-            values,
+            lattice,
+            values: chunks.concat(),
         })
     }
 
-    /// Lattice dimensions for a volume at a target cell edge length; each
-    /// axis gets at least 2 cells.
-    fn lattice_dims(volume: Aabb, resolution_m: f64) -> (usize, usize, usize) {
-        assert!(
-            resolution_m > 0.0 && resolution_m.is_finite(),
-            "resolution must be positive"
-        );
+    /// The lattice over `volume` at a target cell edge length; each axis
+    /// gets at least 2 cells.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::InvalidHyperparameter`] when `resolution_m` is not
+    /// positive and finite, or when the cell count overflows `usize`.
+    fn lattice_at(volume: Aabb, resolution_m: f64) -> Result<VoxelLayout, MlError> {
+        let invalid = |reason| MlError::InvalidHyperparameter {
+            name: "resolution_m",
+            reason,
+        };
+        if !(resolution_m > 0.0 && resolution_m.is_finite()) {
+            return Err(invalid("must be positive and finite"));
+        }
         let size = volume.size();
-        let nx = ((size.x / resolution_m).round() as usize).max(2);
-        let ny = ((size.y / resolution_m).round() as usize).max(2);
-        let nz = ((size.z / resolution_m).round() as usize).max(2);
-        (nx, ny, nz)
+        let cells = |extent: f64| ((extent / resolution_m).round() as usize).max(2);
+        VoxelLayout::new(volume, (cells(size.x), cells(size.y), cells(size.z)))
+            .ok_or(invalid("gives more lattice cells than usize counts"))
     }
 
-    /// Center position of flat voxel `i` in `[z][y][x]` order.
-    fn voxel_center(volume: Aabb, (nx, ny, nz): (usize, usize, usize), i: usize) -> Vec3 {
-        let ix = i % nx;
-        let iy = (i / nx) % ny;
-        let iz = i / (nx * ny);
-        volume.lerp_point(
-            (ix as f64 + 0.5) / nx as f64,
-            (iy as f64 + 0.5) / ny as f64,
-            (iz as f64 + 0.5) / nz as f64,
-        )
-    }
-
-    /// Stage 1 of the batched fill: encodes the lattice into per-chunk
-    /// contiguous feature matrices through the chunked executor. The chunk
-    /// partition comes from [`REM_FILL_GRAN`] — a pure function of the
-    /// voxel count — so both policies encode identical chunks and
-    /// reassemble them in voxel order.
-    fn encode_chunks(
+    /// The batched fill, in one executor pass. The work item is one
+    /// [`REM_FILL_GRAN`] chunk of cells — a partition that depends only on
+    /// the cell count — which is encoded into one [`FeatureMatrix`] and
+    /// handed to `predict` with the worker's scratch from `pool`. Chunk
+    /// outputs come back in cell order. Records the `rem_fill` stage, its
+    /// plan and the `rem_fill_rows` counter on `inst`.
+    fn fill<C, S, FM>(
         layout: &FeatureLayout,
-        volume: Aabb,
+        lattice: &VoxelLayout,
         mac: MacAddress,
-        dims: (usize, usize, usize),
         policy: ExecPolicy,
-    ) -> Result<Vec<FeatureMatrix>, MlError> {
-        let total = dims.0 * dims.1 * dims.2;
-        let indices: Vec<usize> = (0..total).collect();
-        exec::try_map_chunks(policy, REM_FILL_GRAN, &indices, |_, chunk| {
-            let mut fm = FeatureMatrix::with_capacity(layout.dim(), chunk.len());
-            for &i in chunk {
-                let p = Self::voxel_center(volume, dims, i);
-                fm.push_row_with(|out| layout.encode_query_into(p, mac, out))?;
-            }
-            Ok(fm)
-        })
-    }
-
-    /// Stage 2 of the batched fill: predicts each chunk matrix through
-    /// [`Regressor::predict_batch`] (one matrix = one work item, since each
-    /// already holds [`MIN_BATCH_CHUNK`]+ rows) and flattens back into
-    /// voxel order.
-    fn predict_chunks(
-        model: &dyn Regressor,
-        chunks: &[FeatureMatrix],
-        policy: ExecPolicy,
-    ) -> Result<Vec<f64>, MlError> {
-        let pool = exec::ScratchPool::new(|| ());
-        let predicted = exec::try_map_vec_with(
-            policy,
-            exec::Granularity::per_item(),
-            &pool,
-            chunks,
-            |(), fm| model.predict_batch(fm),
-        )?;
-        Ok(predicted.into_iter().flatten().collect())
+        pool: &exec::ScratchPool<S, FM>,
+        inst: &mut Instrumentation,
+        predict: impl Fn(&mut S, &FeatureMatrix) -> Result<C, MlError> + Sync,
+    ) -> Result<Vec<C>, MlError>
+    where
+        C: Send,
+        S: Send,
+        FM: Fn() -> S + Sync,
+    {
+        let total = lattice.cell_count();
+        let plan = exec::plan(policy, total, REM_FILL_GRAN);
+        let chunks: Vec<Range<usize>> = (0..plan.chunks)
+            .map(|ci| ci * plan.chunk..((ci + 1) * plan.chunk).min(total))
+            .collect();
+        inst.record_exec("rem_fill", plan);
+        let out = inst.time("rem_fill", || {
+            exec::try_map_vec_with(
+                policy,
+                exec::Granularity::per_item(),
+                pool,
+                &chunks,
+                |scratch, cells| {
+                    let mut fm = FeatureMatrix::with_capacity(layout.dim(), cells.len());
+                    for i in cells.clone() {
+                        let p = lattice.cell_center(i);
+                        fm.push_row_with(|out| layout.encode_query_into(p, mac, out))?;
+                    }
+                    predict(scratch, &fm)
+                },
+            )
+        })?;
+        inst.count("rem_fill_rows", total as u64);
+        Ok(out)
     }
 
     /// The transmitter this map describes.
@@ -273,14 +245,19 @@ impl RemGrid {
         self.mac
     }
 
+    /// The cell lattice: volume, dimensions and the world↔cell-index math.
+    pub fn lattice(&self) -> &VoxelLayout {
+        &self.lattice
+    }
+
     /// The mapped volume.
     pub fn volume(&self) -> Aabb {
-        self.volume
+        self.lattice.volume()
     }
 
     /// Grid dimensions `(nx, ny, nz)`.
     pub fn dims(&self) -> (usize, usize, usize) {
-        self.dims
+        self.lattice.dims()
     }
 
     /// The raw row-major `[z][y][x]` cell values in dBm.
@@ -298,8 +275,9 @@ impl RemGrid {
     /// [`RemGrid::values`]), used by the snapshot decoder and by synthetic
     /// grid builders in benches.
     ///
-    /// Returns `None` when any dimension is zero or when `values.len()`
-    /// does not equal `nx * ny * nz`, so a decoded grid is always
+    /// Returns `None` when [`VoxelLayout::new`] rejects the dimensions
+    /// (a zero axis or an overflowing cell count) or when `values.len()`
+    /// does not equal the cell count, so a decoded grid is always
     /// internally consistent.
     pub fn from_parts(
         mac: MacAddress,
@@ -307,18 +285,10 @@ impl RemGrid {
         dims: (usize, usize, usize),
         values: Vec<f64>,
     ) -> Option<Self> {
-        let (nx, ny, nz) = dims;
-        if nx == 0 || ny == 0 || nz == 0 {
-            return None;
-        }
-        let expect = nx.checked_mul(ny)?.checked_mul(nz)?;
-        if values.len() != expect {
-            return None;
-        }
-        Some(RemGrid {
+        let lattice = VoxelLayout::new(volume, dims)?;
+        (values.len() == lattice.cell_count()).then_some(RemGrid {
             mac,
-            volume,
-            dims,
+            lattice,
             values,
         })
     }
@@ -337,26 +307,15 @@ impl RemGrid {
     ///
     /// Returns `None` when `p` lies outside the volume.
     pub fn sample(&self, p: Vec3) -> Option<f64> {
-        if !self.volume.contains(p) {
-            return None;
-        }
-        Some(self.values[self.cell_index_of(p)])
+        self.values.get(self.lattice.cell_index_of(p)?).copied()
     }
 
     /// The cell center positions and values, for export/plotting.
     pub fn cells(&self) -> impl Iterator<Item = (Vec3, f64)> + '_ {
-        let (nx, ny, nz) = self.dims;
-        (0..self.values.len()).map(move |i| {
-            let ix = i % nx;
-            let iy = (i / nx) % ny;
-            let iz = i / (nx * ny);
-            let p = self.volume.lerp_point(
-                (ix as f64 + 0.5) / nx as f64,
-                (iy as f64 + 0.5) / ny as f64,
-                (iz as f64 + 0.5) / nz as f64,
-            );
-            (p, self.values[i])
-        })
+        self.values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (self.lattice.cell_center(i), v))
     }
 
     /// Minimum predicted RSS over the map.
@@ -392,11 +351,7 @@ impl RemGrid {
     ///
     /// # Errors
     ///
-    /// Propagates estimator errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution_m` is not positive and finite.
+    /// As [`RemGrid::generate`].
     pub fn generate_with_confidence(
         model: &OrdinaryKriging,
         layout: &FeatureLayout,
@@ -404,42 +359,39 @@ impl RemGrid {
         resolution_m: f64,
         mac: MacAddress,
     ) -> Result<(Self, Self), MlError> {
-        let (nx, ny, nz) = Self::lattice_dims(volume, resolution_m);
-        let mut values = Vec::with_capacity(nx * ny * nz);
-        let mut sigmas = Vec::with_capacity(nx * ny * nz);
+        let lattice = Self::lattice_at(volume, resolution_m)?;
+        let cells = lattice.cell_count();
+        let mut values = Vec::with_capacity(cells);
+        let mut sigmas = Vec::with_capacity(cells);
         let mut scratch = KrigingScratch::new();
         let mut row = Vec::new();
-        for i in 0..nx * ny * nz {
-            let p = Self::voxel_center(volume, (nx, ny, nz), i);
+        for i in 0..cells {
             row.clear();
-            layout.encode_query_into(p, mac, &mut row)?;
+            layout.encode_query_into(lattice.cell_center(i), mac, &mut row)?;
             let (pred, var) = model.predict_with_variance_with(&row, &mut scratch)?;
             values.push(pred);
             sigmas.push(var.sqrt());
         }
-        let dims = (nx, ny, nz);
         Ok((
             RemGrid {
                 mac,
-                volume,
-                dims,
+                lattice,
                 values,
             },
             RemGrid {
                 mac,
-                volume,
-                dims,
+                lattice,
                 values: sigmas,
             },
         ))
     }
 
-    /// [`RemGrid::generate_with_confidence`] at hardware speed: one
-    /// policy-parallel pass produces the prediction grid and the
-    /// uncertainty grid (kriging standard deviation, dB) together. The
-    /// lattice is encoded into `REM_FILL_GRAN` chunks, each chunk is
-    /// solved through [`OrdinaryKriging::predict_with_variance_with`] with
-    /// one [`KrigingScratch`] per worker thread — so each worker carries a
+    /// [`RemGrid::generate_with_confidence`] at hardware speed: the
+    /// batched fill of [`RemGrid::generate_instrumented`] produces the
+    /// prediction grid and the uncertainty grid (kriging standard
+    /// deviation, dB) together. Each chunk's rows are solved through
+    /// [`OrdinaryKriging::predict_with_variance_with`] on one
+    /// [`KrigingScratch`] per worker thread — so each worker carries a
     /// factor cache across its chunks and consecutive voxels sharing a
     /// neighbour set skip straight to the O(k²) back-substitution.
     ///
@@ -447,17 +399,13 @@ impl RemGrid {
     /// [`ExecPolicy`] arms: the chunk partition is policy-independent and
     /// cache hits are bit-identical to misses by construction.
     ///
-    /// Records `rem_krige_predict` / `rem_krige_variance` stages plus
-    /// `rem_krige_cache_hits` / `rem_krige_cache_misses` counters on
+    /// Records the `rem_fill` stage, its plan and the `rem_fill_rows`,
+    /// `rem_krige_cache_hits` and `rem_krige_cache_misses` counters on
     /// `inst`, and returns the aggregated cache stats.
     ///
     /// # Errors
     ///
-    /// Propagates estimator errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution_m` is not positive and finite.
+    /// As [`RemGrid::generate`].
     pub fn generate_with_variance(
         model: &OrdinaryKriging,
         layout: &FeatureLayout,
@@ -467,68 +415,35 @@ impl RemGrid {
         policy: ExecPolicy,
         inst: &mut Instrumentation,
     ) -> Result<(Self, Self, KrigingCacheStats), MlError> {
-        let dims = Self::lattice_dims(volume, resolution_m);
-        let total = dims.0 * dims.1 * dims.2;
-        inst.record_exec("rem_encode", exec::plan(policy, total, REM_FILL_GRAN));
-        let chunks =
-            inst.time("rem_encode", || Self::encode_chunks(layout, volume, mac, dims, policy))?;
-        inst.count("rem_encode_rows", total as u64);
-        // One chunk = one work item (it already holds MIN_BATCH_CHUNK+
-        // rows); the worker's scratch persists across the chunks it claims.
-        inst.record_exec(
-            "rem_krige_predict",
-            exec::plan(policy, chunks.len(), exec::Granularity::per_item()),
-        );
+        let lattice = Self::lattice_at(volume, resolution_m)?;
         let pool = exec::ScratchPool::new(KrigingScratch::new);
-        let pairs: Vec<(Vec<f64>, Vec<f64>)> = inst.time("rem_krige_predict", || {
-            exec::try_map_vec_with(
-                policy,
-                exec::Granularity::per_item(),
-                &pool,
-                &chunks,
-                |scratch, fm| {
-                    let mut vals = Vec::with_capacity(fm.rows());
-                    let mut vars = Vec::with_capacity(fm.rows());
-                    for q in fm.iter() {
-                        let (p, v) = model.predict_with_variance_with(q, scratch)?;
-                        vals.push(p);
-                        vars.push(v);
-                    }
-                    Ok((vals, vars))
-                },
-            )
+        let chunks = Self::fill(layout, &lattice, mac, policy, &pool, inst, |scratch, fm| {
+            let mut values = Vec::with_capacity(fm.rows());
+            let mut sigmas = Vec::with_capacity(fm.rows());
+            for q in fm.iter() {
+                let (pred, var) = model.predict_with_variance_with(q, scratch)?;
+                values.push(pred);
+                sigmas.push(var.sqrt());
+            }
+            Ok((values, sigmas))
         })?;
         let mut stats = KrigingCacheStats::default();
         for _ in 0..pool.idle() {
             stats.merge(pool.take().cache_stats());
         }
-        inst.count("rem_krige_predict_rows", total as u64);
         inst.count("rem_krige_cache_hits", stats.hits);
         inst.count("rem_krige_cache_misses", stats.misses);
-        // Materialize the two grids: flatten chunk outputs in voxel order
-        // and map variances to standard deviations.
-        let (values, sigmas) = inst.time("rem_krige_variance", || {
-            let mut values = Vec::with_capacity(total);
-            let mut sigmas = Vec::with_capacity(total);
-            for (vals, vars) in &pairs {
-                values.extend_from_slice(vals);
-                sigmas.extend(vars.iter().map(|v| v.sqrt()));
-            }
-            (values, sigmas)
-        });
-        inst.count("rem_krige_variance_rows", total as u64);
+        let (values, sigmas): (Vec<Vec<f64>>, Vec<Vec<f64>>) = chunks.into_iter().unzip();
         Ok((
             RemGrid {
                 mac,
-                volume,
-                dims,
-                values,
+                lattice,
+                values: values.concat(),
             },
             RemGrid {
                 mac,
-                volume,
-                dims,
-                values: sigmas,
+                lattice,
+                values: sigmas.concat(),
             },
             stats,
         ))
@@ -550,13 +465,13 @@ impl RemGrid {
     /// # }
     /// ```
     pub fn render_slice(&self, z: f64) -> Option<String> {
-        if z < self.volume.min().z || z > self.volume.max().z {
-            return None;
-        }
         const RAMP: &[u8] = b" .:-=+*#%@";
-        let (nx, ny, nz) = self.dims;
-        let tz = (z - self.volume.min().z) / self.volume.size().z;
-        let iz = ((tz * nz as f64) as usize).min(nz - 1);
+        let lo_corner = self.lattice.volume().min();
+        let layer = self
+            .lattice
+            .cell_index_of(Vec3::new(lo_corner.x, lo_corner.y, z))?;
+        let (nx, ny, _) = self.lattice.dims();
+        let (_, _, iz) = self.lattice.cell_coords(layer);
         let lo = self.min_dbm();
         let span = (self.max_dbm() - lo).max(1e-9);
         let mut out = format!(
@@ -585,17 +500,6 @@ impl RemGrid {
             out.push_str(&format!("{},{},{},{v:.2}\n", p.x, p.y, p.z));
         }
         out
-    }
-
-    fn cell_index_of(&self, p: Vec3) -> usize {
-        let (nx, ny, nz) = self.dims;
-        let lo = self.volume.min();
-        let size = self.volume.size();
-        let clamp_idx = |t: f64, n: usize| ((t * n as f64) as usize).min(n - 1);
-        let ix = clamp_idx((p.x - lo.x) / size.x, nx);
-        let iy = clamp_idx((p.y - lo.y) / size.y, ny);
-        let iz = clamp_idx((p.z - lo.z) / size.z, nz);
-        iz * nx * ny + iy * nx + ix
     }
 }
 
@@ -723,11 +627,9 @@ mod tests {
         let plain =
             RemGrid::generate_with(&model, &layout, volume, 0.4, mac, ExecPolicy::Serial).unwrap();
         assert_eq!(grid, plain, "instrumentation must not change the map");
-        assert!(inst.stage("rem_encode").is_some());
-        assert!(inst.stage("rem_predict").is_some());
-        assert_eq!(inst.counter("rem_encode_rows"), Some(grid.len() as u64));
-        assert_eq!(inst.counter("rem_predict_rows"), Some(grid.len() as u64));
-        assert!(inst.throughput("rem_predict", "rem_predict_rows").is_some());
+        assert!(inst.stage("rem_fill").is_some());
+        assert_eq!(inst.counter("rem_fill_rows"), Some(grid.len() as u64));
+        assert!(inst.throughput("rem_fill", "rem_fill_rows").is_some());
     }
 
     #[test]
@@ -756,10 +658,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "resolution")]
-    fn zero_resolution_panics() {
+    fn bad_resolution_is_an_error() {
         let (model, layout, volume) = fitted_world();
-        let _ = RemGrid::generate(&model, &layout, volume, 0.0, MacAddress::from_index(1));
+        let mac = MacAddress::from_index(1);
+        for resolution in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-300] {
+            let err = RemGrid::generate(&model, &layout, volume, resolution, mac).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MlError::InvalidHyperparameter {
+                        name: "resolution_m",
+                        ..
+                    }
+                ),
+                "{resolution}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -900,12 +814,8 @@ mod tests {
             assert!(stats.hits > 0, "{policy}: no factor-cache hits on a lattice");
             assert_eq!(inst.counter("rem_krige_cache_hits"), Some(stats.hits));
             assert_eq!(inst.counter("rem_krige_cache_misses"), Some(stats.misses));
-            assert!(inst.stage("rem_krige_predict").is_some());
-            assert!(inst.stage("rem_krige_variance").is_some());
-            assert_eq!(
-                inst.counter("rem_krige_predict_rows"),
-                Some(rem.len() as u64)
-            );
+            assert!(inst.stage("rem_fill").is_some());
+            assert_eq!(inst.counter("rem_fill_rows"), Some(rem.len() as u64));
             grids.push((rem, sigma));
         }
         assert_eq!(grids[0], grids[1], "serial ≡ parallel");

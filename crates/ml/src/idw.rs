@@ -6,15 +6,13 @@
 
 use crate::kdtree::{IndexScratch, NeighborIndex};
 use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
-use aerorem_numerics::kernels::sq_euclidean;
 
-/// Shepard interpolation: `ŷ(q) = Σ wᵢ yᵢ / Σ wᵢ` with `wᵢ = 1/dᵢᵖ`,
-/// optionally restricted to the `max_neighbors` nearest samples.
+/// Shepard interpolation: `ŷ(q) = Σ wᵢ yᵢ / Σ wᵢ` with `wᵢ = 1/dᵢᵖ`
+/// over the `max_neighbors` nearest samples.
 ///
-/// The fitted samples live in a [`NeighborIndex`], which finds a capped
-/// prediction's neighbours; an uncapped one weighs every sample in
-/// insertion order. The batched prediction path reuses its search and
-/// neighbour buffers across queries.
+/// The fitted samples live in a [`NeighborIndex`], which finds each
+/// prediction's neighbours. The batched prediction path reuses its search
+/// and neighbour buffers across queries.
 ///
 /// # Examples
 ///
@@ -25,7 +23,7 @@ use aerorem_numerics::kernels::sq_euclidean;
 /// # fn main() -> Result<(), aerorem_ml::MlError> {
 /// let x = vec![vec![0.0], vec![2.0]];
 /// let y = vec![0.0, 10.0];
-/// let mut idw = IdwInterpolator::new(2.0, None)?;
+/// let mut idw = IdwInterpolator::new(2.0, 2)?;
 /// idw.fit(&x, &y)?;
 /// assert_eq!(idw.predict_one(&[1.0])?, 5.0); // symmetric point
 /// # Ok(())
@@ -34,30 +32,30 @@ use aerorem_numerics::kernels::sq_euclidean;
 #[derive(Debug, Clone)]
 pub struct IdwInterpolator {
     power: f64,
-    max_neighbors: Option<usize>,
+    max_neighbors: usize,
     index: Option<NeighborIndex>,
     y: Vec<f64>,
 }
 
 impl IdwInterpolator {
-    /// Creates an interpolator with distance power `p` (2 is classic) and
-    /// an optional neighbour cap.
+    /// Creates an interpolator with distance power `p` (2 is classic) that
+    /// weighs the `max_neighbors` nearest samples.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::InvalidHyperparameter`] for non-positive or
     /// non-finite `power`, or a zero neighbour cap.
-    pub fn new(power: f64, max_neighbors: Option<usize>) -> Result<Self, MlError> {
+    pub fn new(power: f64, max_neighbors: usize) -> Result<Self, MlError> {
         if power <= 0.0 || !power.is_finite() {
             return Err(MlError::InvalidHyperparameter {
                 name: "power",
                 reason: "must be positive and finite",
             });
         }
-        if max_neighbors == Some(0) {
+        if max_neighbors == 0 {
             return Err(MlError::InvalidHyperparameter {
                 name: "max_neighbors",
-                reason: "must be at least 1 when set",
+                reason: "must be at least 1",
             });
         }
         Ok(IdwInterpolator {
@@ -85,17 +83,7 @@ impl IdwInterpolator {
                 found: q.len(),
             });
         }
-        match self.max_neighbors {
-            Some(cap) => index.nearest_into(q, cap, scratch, nn),
-            None => {
-                nn.clear();
-                nn.extend(
-                    rows.iter()
-                        .enumerate()
-                        .map(|(i, p)| (i, sq_euclidean(p, q).sqrt())),
-                );
-            }
-        }
+        index.nearest_into(q, self.max_neighbors, scratch, nn);
         // Exact hits dominate.
         let mut exact_sum = 0.0;
         let mut exact_n = 0usize;
@@ -154,14 +142,14 @@ mod tests {
 
     #[test]
     fn exact_hit_returns_sample() {
-        let mut idw = IdwInterpolator::new(2.0, None).unwrap();
+        let mut idw = IdwInterpolator::new(2.0, 2).unwrap();
         idw.fit(&[vec![0.0], vec![1.0]], &[3.0, 7.0]).unwrap();
         assert_eq!(idw.predict_one(&[1.0]).unwrap(), 7.0);
     }
 
     #[test]
     fn predictions_bounded_by_sample_range() {
-        let mut idw = IdwInterpolator::new(2.0, None).unwrap();
+        let mut idw = IdwInterpolator::new(2.0, 10).unwrap();
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..10).map(|i| (i % 4) as f64).collect();
         idw.fit(&x, &y).unwrap();
@@ -176,8 +164,8 @@ mod tests {
         let x = vec![vec![0.0], vec![1.0], vec![10.0]];
         let y = vec![0.0, 0.0, 100.0];
         let q = [0.5];
-        let mut soft = IdwInterpolator::new(1.0, None).unwrap();
-        let mut sharp = IdwInterpolator::new(6.0, None).unwrap();
+        let mut soft = IdwInterpolator::new(1.0, 3).unwrap();
+        let mut sharp = IdwInterpolator::new(6.0, 3).unwrap();
         soft.fit(&x, &y).unwrap();
         sharp.fit(&x, &y).unwrap();
         let p_soft = soft.predict_one(&q).unwrap();
@@ -192,7 +180,7 @@ mod tests {
     fn neighbor_cap_limits_influence() {
         let x = vec![vec![0.0], vec![1.0], vec![100.0]];
         let y = vec![0.0, 1.0, 1000.0];
-        let mut capped = IdwInterpolator::new(2.0, Some(2)).unwrap();
+        let mut capped = IdwInterpolator::new(2.0, 2).unwrap();
         capped.fit(&x, &y).unwrap();
         // The far outlier is excluded entirely.
         let p = capped.predict_one(&[0.5]).unwrap();
@@ -201,7 +189,7 @@ mod tests {
 
     #[test]
     fn predict_batch_matches_predict_one_bits() {
-        for cap in [None, Some(3)] {
+        for cap in [25, 3] {
             let mut idw = IdwInterpolator::new(2.0, cap).unwrap();
             let x: Vec<Vec<f64>> = (0..25)
                 .map(|i| vec![(i % 5) as f64 * 0.8, (i / 5) as f64 * 1.1])
@@ -214,19 +202,19 @@ mod tests {
             let fm = FeatureMatrix::from_rows(&queries).unwrap();
             let batch = idw.predict_batch(&fm).unwrap();
             for (q, b) in queries.iter().zip(&batch) {
-                assert_eq!(idw.predict_one(q).unwrap(), *b, "cap {cap:?}");
+                assert_eq!(idw.predict_one(q).unwrap(), *b, "cap {cap}");
             }
         }
     }
 
     #[test]
     fn validation() {
-        assert!(IdwInterpolator::new(0.0, None).is_err());
-        assert!(IdwInterpolator::new(f64::NAN, None).is_err());
-        assert!(IdwInterpolator::new(2.0, Some(0)).is_err());
-        let idw = IdwInterpolator::new(2.0, None).unwrap();
+        assert!(IdwInterpolator::new(0.0, 1).is_err());
+        assert!(IdwInterpolator::new(f64::NAN, 1).is_err());
+        assert!(IdwInterpolator::new(2.0, 0).is_err());
+        let idw = IdwInterpolator::new(2.0, 1).unwrap();
         assert_eq!(idw.predict_one(&[0.0]), Err(MlError::NotFitted));
-        let mut idw = IdwInterpolator::new(2.0, None).unwrap();
+        let mut idw = IdwInterpolator::new(2.0, 1).unwrap();
         idw.fit(&[vec![0.0, 1.0]], &[1.0]).unwrap();
         assert!(matches!(
             idw.predict_one(&[0.0]),

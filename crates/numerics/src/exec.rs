@@ -430,34 +430,6 @@ where
     })
 }
 
-/// Fallible [`map_chunks`]: returns the error of the lowest-offset failing
-/// chunk.
-///
-/// # Errors
-///
-/// Returns the first `Err` produced by `f`, in chunk order.
-pub fn try_map_chunks<T, C, E, F>(
-    policy: ExecPolicy,
-    gran: Granularity,
-    items: &[T],
-    f: F,
-) -> Result<Vec<C>, E>
-where
-    T: Sync,
-    C: Send,
-    E: Send,
-    F: Fn(usize, &[T]) -> Result<C, E> + Sync,
-{
-    let p = plan(policy, items.len(), gran);
-    if items.is_empty() {
-        return Ok(Vec::new());
-    }
-    try_run_chunks(p.workers, p.chunks, &unit_pool(), |(), ci| {
-        let (lo, hi) = chunk_bounds(items.len(), p.chunk, ci);
-        f(lo, &items[lo..hi])
-    })
-}
-
 /// Maps `f(scratch, item)` over `items` with per-worker-thread scratch from
 /// `pool`, preserving input order. The scratch value a worker holds is
 /// reused across every item that worker processes — closures must treat it
@@ -593,23 +565,6 @@ mod tests {
         let out: Vec<usize> =
             map_chunks(ExecPolicy::Parallel, Granularity::per_item(), &[0u8; 0], |_, c| c.len());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn try_map_chunks_first_error_wins() {
-        let items: Vec<u32> = (0..500).collect();
-        let gran = Granularity::new(16, 16);
-        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
-            let r: Result<Vec<usize>, usize> =
-                try_map_chunks(policy, gran, &items, |off, chunk| {
-                    if off >= 96 {
-                        Err(off)
-                    } else {
-                        Ok(chunk.len())
-                    }
-                });
-            assert_eq!(r.unwrap_err(), 96, "{policy}");
-        }
     }
 
     #[test]

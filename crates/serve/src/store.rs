@@ -111,7 +111,7 @@ impl RemStore {
         let grids = snapshot.grids();
         let first = grids.first().ok_or(StoreError::EmptySnapshot)?;
         for (index, g) in grids.iter().enumerate() {
-            if g.volume() != first.volume() || g.dims() != first.dims() {
+            if g.lattice() != first.lattice() {
                 return Err(StoreError::MismatchedGrid { index });
             }
         }
@@ -123,8 +123,7 @@ impl RemStore {
             }
         }
 
-        let layout = VoxelLayout::new(first.volume(), first.dims())
-            .ok_or(StoreError::MismatchedGrid { index: 0 })?;
+        let layout = *first.lattice();
         let macs: Vec<MacAddress> = order.iter().map(|&i| grids[i].mac()).collect();
         let octrees: Vec<VoxelOctree> = order
             .iter()

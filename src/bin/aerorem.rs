@@ -209,6 +209,10 @@ fn survey(flags: &Flags) -> Result<(), String> {
         },
         ..CampaignConfig::paper_demo()
     };
+    config
+        .fleet_plan
+        .expand(config.volume)
+        .map_err(|e| e.to_string())?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     eprintln!("flying {uavs} UAV(s) over {waypoints} waypoints (seed {seed})...");
     let report = Campaign::new(config).run(&mut rng);
@@ -355,24 +359,17 @@ fn report_kriging_cache(inst: &Instrumentation) {
     }
 }
 
-/// Prints rows-per-second for the batched REM stages when both the stage
-/// timing and the row counter are present, along with the execution plan
-/// (worker count and effective chunk size) each stage actually ran under.
+/// Prints voxels-per-second for the lattice fill when a fill ran, along
+/// with the execution plan (worker count and voxels per chunk) it ran
+/// under.
 fn report_lattice_throughput(inst: &Instrumentation) {
-    for (stage, counter) in [
-        ("rem_encode", "rem_encode_rows"),
-        ("rem_predict", "rem_predict_rows"),
-        ("rem_krige_predict", "rem_krige_predict_rows"),
-    ] {
-        if let Some(rate) = inst.throughput(stage, counter) {
-            match inst.exec_plan(stage) {
-                Some((workers, chunk)) => println!(
-                    "{stage}: {rate:.0} voxels/s ({workers} workers, chunk {chunk})"
-                ),
-                None => println!("{stage}: {rate:.0} voxels/s"),
-            }
-        }
-    }
+    let (Some(rate), Some((workers, chunk))) = (
+        inst.throughput("rem_fill", "rem_fill_rows"),
+        inst.exec_plan("rem_fill"),
+    ) else {
+        return;
+    };
+    println!("rem_fill: {rate:.0} voxels/s ({workers} workers, chunk {chunk})");
 }
 
 /// Preprocesses with the paper's retention filter, relaxing it for small

@@ -186,6 +186,86 @@ fn a_non_finite_coordinate_in_the_samples_is_an_error_not_a_panic() {
     let _ = std::fs::remove_file(&samples);
 }
 
+/// Runs `aerorem args` and returns its one `error:` line, asserting exit
+/// status 1 (a reported error) rather than 101 (a panic).
+fn one_error_line(args: &[&str]) -> String {
+    let out = bin().args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+    errors[0].to_string()
+}
+
+#[test]
+fn a_bad_resolution_is_an_error_not_a_panic() {
+    let samples = tmp("res_samples.csv");
+    let samples = samples.to_str().unwrap();
+    let out = bin()
+        .args(["survey", "--seed", "4", "--waypoints", "16", "--uavs", "2"])
+        .args(["--out", samples])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let rem = tmp("res_rem.csv");
+    let sigma = tmp("res_sigma.csv");
+    let snap = tmp("res.snap");
+    let (rem, sigma, snap) = (
+        rem.to_str().unwrap(),
+        sigma.to_str().unwrap(),
+        snap.to_str().unwrap(),
+    );
+    for resolution in ["0", "-1", "nan", "inf", "1e-300"] {
+        let map = [
+            "map",
+            "--in",
+            samples,
+            "--out",
+            rem,
+            "--resolution",
+            resolution,
+        ];
+        let error = one_error_line(&map);
+        assert!(error.contains("resolution_m"), "{resolution}: {error}");
+        let error = one_error_line(&[&map[..], &["--confidence", sigma]].concat());
+        assert!(error.contains("resolution_m"), "{resolution}: {error}");
+    }
+    let save = ["snapshot", "save", "--in", samples, "--out", snap];
+    let error = one_error_line(&[&save[..], &["--resolution", "0"]].concat());
+    assert!(error.contains("resolution_m"), "{error}");
+    let _ = std::fs::remove_file(samples);
+}
+
+#[test]
+fn a_bad_fleet_plan_is_an_error_not_a_panic() {
+    let out = tmp("fleet_samples.csv");
+    let out = out.to_str().unwrap();
+    for (uavs, waypoints) in [("0", "72"), ("2", "0"), ("5", "3")] {
+        let args = [
+            "survey",
+            "--uavs",
+            uavs,
+            "--waypoints",
+            waypoints,
+            "--out",
+            out,
+        ];
+        let error = one_error_line(&args);
+        assert!(
+            error.contains("fleet size") || error.contains("waypoint grid"),
+            "{args:?}: {error}"
+        );
+        assert!(
+            !std::path::Path::new(out).exists(),
+            "{args:?} wrote samples"
+        );
+    }
+}
+
 #[test]
 fn duplicate_flags_are_rejected_not_last_wins() {
     // Before the fix, `--out a.csv --out b.csv` silently kept b.csv;

@@ -347,7 +347,7 @@ proptest! {
         let x = shape.training(&mut rng, n);
         let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-90.0..-30.0)).collect();
         let k = [1, 3, 16, 24, n][k_pick];
-        let mut idw = IdwInterpolator::new(2.0, Some(k)).unwrap();
+        let mut idw = IdwInterpolator::new(2.0, k).unwrap();
         idw.fit(&x, &y).unwrap();
         let data: Vec<f64> = x.concat();
         let oracle = |q: &[f64]| -> f64 {
@@ -579,7 +579,7 @@ proptest! {
             ),
             Box::new(PerGroupKnn::new(3..5, 2, Weighting::Distance, 2.0).unwrap()),
             Box::new(Mlp::new(mlp_config)),
-            Box::new(IdwInterpolator::new(2.0, Some(8)).unwrap()),
+            Box::new(IdwInterpolator::new(2.0, 8).unwrap()),
             Box::new(OrdinaryKriging::new(KrigingConfig::default())),
         ];
         for model in &mut zoo {
@@ -651,7 +651,7 @@ proptest! {
                     epochs: 5,
                     ..MlpConfig::paper_tuned()
                 })),
-                Box::new(IdwInterpolator::new(2.0, Some(8)).unwrap()),
+                Box::new(IdwInterpolator::new(2.0, 8).unwrap()),
                 Box::new(OrdinaryKriging::new(KrigingConfig::default())),
             ]
         };

@@ -136,6 +136,22 @@ fn with_watchdog(secs: u64, body: impl FnOnce() + Send + 'static) {
     }
 }
 
+/// Reads one reply frame from a raw stream, keeping any surplus bytes in
+/// `buf` for the next call.
+fn read_frame(stream: &mut impl std::io::Read, buf: &mut Vec<u8>) -> aerorem::serve::Frame {
+    use aerorem::serve::Frame;
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some((frame, consumed)) = Frame::decode_stream(buf).expect("reply frames cleanly") {
+            buf.drain(..consumed);
+            return frame;
+        }
+        let n = stream.read(&mut chunk).expect("read reply");
+        assert!(n > 0, "daemon hung up before replying");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
 fn start_daemon(policy: ExecPolicy, snapshot: &RemSnapshot) -> (Daemon, aerorem::serve::ServerHandle, String, std::path::PathBuf) {
     let config = DaemonConfig {
         policy,
@@ -362,7 +378,7 @@ fn a_stale_socket_file_is_replaced() {
 fn a_drain_mixing_frame_kinds_answers_in_send_order() {
     with_watchdog(30, || {
         use aerorem::serve::{Frame, Message};
-        use std::io::{Read, Write};
+        use std::io::Write;
 
         let snapshot = synthetic_snapshot(2, 0.0);
         let queries = mixed_queries();
@@ -391,22 +407,11 @@ fn a_drain_mixing_frame_kinds_answers_in_send_order() {
         // One write, so the daemon finds the five frames queued together.
         let mut stream = std::net::TcpStream::connect(&tcp_addr).expect("connect tcp");
         stream.write_all(&wire).expect("send the frames");
-        let mut replies = Vec::new();
         let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        while replies.len() < sent.len() {
-            match Frame::decode_stream(&buf).expect("replies frame cleanly") {
-                Some((frame, consumed)) => {
-                    buf.drain(..consumed);
-                    replies.push(frame);
-                }
-                None => {
-                    let n = stream.read(&mut chunk).expect("read replies");
-                    assert!(n > 0, "daemon hung up after {} replies", replies.len());
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-            }
-        }
+        let replies: Vec<Frame> = sent
+            .iter()
+            .map(|_| read_frame(&mut stream, &mut buf))
+            .collect();
         assert!(buf.is_empty(), "exactly five replies");
 
         let seqs: Vec<u64> = replies.iter().map(|f| f.seq).collect();
@@ -459,6 +464,117 @@ fn a_drain_mixing_frame_kinds_answers_in_send_order() {
             .expect("connect tcp")
             .shutdown()
             .expect("daemon acknowledges shutdown");
+        handle.join();
+    });
+}
+
+#[test]
+fn shutdown_joins_while_a_client_is_mid_header() {
+    with_watchdog(30, || {
+        use aerorem::serve::wire::FRAME_HEADER_LEN;
+        use aerorem::serve::Message;
+        use std::io::{Read, Write};
+
+        let snapshot = synthetic_snapshot(2, 0.0);
+        let queries = mixed_queries();
+        let (daemon, handle, tcp_addr, _sock) = start_daemon(ExecPolicy::Serial, &snapshot);
+        let (_, local) = daemon.answer(0, &queries).expect("in-process answers");
+
+        // One whole request followed by half of the next frame's header,
+        // in one write: the reply shows the connection is being served,
+        // and the half header leaves it waiting for the rest.
+        let request = |seq| {
+            Message::Request {
+                queries: queries.clone(),
+            }
+            .into_frame(0, seq)
+            .encode()
+        };
+        let mut wire = request(1);
+        wire.extend_from_slice(&request(2)[..FRAME_HEADER_LEN / 2]);
+        let mut stream = std::net::TcpStream::connect(&tcp_addr).expect("connect tcp");
+        stream
+            .write_all(&wire)
+            .expect("send a frame and a half header");
+        let reply = read_frame(&mut stream, &mut Vec::new());
+        assert_eq!(reply.seq, 1);
+        match Message::from_frame(&reply).expect("reply payload decodes") {
+            Message::Response { responses, .. } => assert_bit_identical(&responses, &local),
+            other => panic!("expected a Response, got {other:?}"),
+        }
+
+        // The client keeps its connection open and sends nothing more.
+        handle.shutdown();
+        handle.join();
+        let hung_up = stream.read(&mut [0u8; 1]);
+        assert!(
+            matches!(hung_up, Ok(0) | Err(_)),
+            "the daemon hangs up on shutdown: {hung_up:?}"
+        );
+    });
+}
+
+#[test]
+fn a_client_that_closes_without_reading_its_replies_leaves_the_daemon_serving() {
+    with_watchdog(60, || {
+        use aerorem::serve::Message;
+        use std::io::{ErrorKind, Write};
+
+        let snapshot = synthetic_snapshot(2, 0.0);
+        let (daemon, handle, tcp_addr, sock) = start_daemon(ExecPolicy::Serial, &snapshot);
+
+        // Coverage replies (17 bytes a record) outweigh their queries (15),
+        // so the replies to a pipelined stream of these frames fill the
+        // socket buffers before the requests do.
+        let coverage: Vec<Query> = (0..4096u32)
+            .map(|i| Query::Coverage {
+                threshold_dbm: -40.0 - f64::from(i % 40),
+                ap: MacAddress::from_index(1 + i % 2),
+            })
+            .collect();
+        let frame = Message::Request {
+            queries: coverage.clone(),
+        }
+        .into_frame(0, 1)
+        .encode();
+        let (generation, answers) = daemon.answer(0, &coverage).expect("in-process answers");
+        let reply_len = Message::Response {
+            generation,
+            responses: answers,
+        }
+        .into_frame(0, 1)
+        .encode()
+        .len();
+
+        // Pipeline frames without reading a reply until the daemon stops
+        // reading: its reply writes are then blocked on full buffers.
+        let mut greedy = std::net::TcpStream::connect(&tcp_addr).expect("connect tcp");
+        greedy
+            .set_write_timeout(Some(Duration::from_millis(500)))
+            .expect("set write timeout");
+        let mut sent = 0usize;
+        loop {
+            match greedy.write_all(&frame) {
+                Ok(()) => sent += 1,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                Err(e) => panic!("send failed after {sent} frames: {e}"),
+            }
+            assert!(
+                sent * reply_len < 256 << 20,
+                "the daemon never stopped reading after {sent} frames"
+            );
+        }
+        assert!(sent > 0, "the first frame did not go out");
+        // Close with the replies unread.
+        drop(greedy);
+
+        // A second client is answered exactly, and shutdown still joins.
+        let queries = mixed_queries();
+        let (_, local) = daemon.answer(0, &queries).expect("in-process answers");
+        let mut client = WireClient::connect_uds(&sock).expect("connect uds");
+        let (_, over_uds) = client.query(0, &queries).expect("uds query answers");
+        assert_bit_identical(&over_uds, &local);
+        client.shutdown().expect("daemon acknowledges shutdown");
         handle.join();
     });
 }
