@@ -71,7 +71,11 @@ impl CoverageMap {
     /// Greedy relay/AP placement: the candidate position (among cell
     /// centers) that covers the most dark cells within `relay_radius_m`.
     ///
-    /// Returns `None` when there are no dark cells — coverage is complete.
+    /// Returns `None` in two cases: there are no dark cells (coverage is
+    /// complete; a NaN threshold makes every comparison false, so it finds
+    /// none either), or no candidate lies within `relay_radius_m` of a dark
+    /// cell, which happens for a negative or NaN radius. Every dark cell is
+    /// itself a candidate, so a radius of 0 or more always finds one.
     pub fn suggest_relay(&self, threshold_dbm: f64, relay_radius_m: f64) -> Option<RelayPlan> {
         let dark = self.dark_cells(threshold_dbm);
         if dark.is_empty() {

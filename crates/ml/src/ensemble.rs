@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::knn::{KnnRegressor, Weighting};
-use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{finite_row, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
 
 /// One kNN model per group (per MAC), trained on the non-group features
 /// only. Groups never seen in training fall back to the global mean.
@@ -136,16 +136,17 @@ impl PerGroupKnn {
                 reason: "no features left outside the group block",
             });
         }
-        self.dim = dim;
-        self.global_mean = Some(y.iter().sum::<f64>() / y.len() as f64);
         // Bucket rows by group.
         let mut buckets: BTreeMap<usize, (Vec<Vec<f64>>, Vec<f64>)> = BTreeMap::new();
-        for (row, &t) in rows.zip(y) {
+        for (i, (row, &t)) in rows.zip(y).enumerate() {
+            finite_row(Some(i), row)?;
             let g = self.group_of(row);
             let e = buckets.entry(g).or_default();
             e.0.push(self.strip_group(row));
             e.1.push(t);
         }
+        self.dim = dim;
+        self.global_mean = Some(y.iter().sum::<f64>() / y.len() as f64);
         self.models.clear();
         for (g, (gx, gy)) in buckets {
             let mut model = KnnRegressor::new(self.k, self.weighting, self.minkowski_p)?;
@@ -175,6 +176,7 @@ impl Regressor for PerGroupKnn {
                 found: x.len(),
             });
         }
+        finite_row(None, x)?;
         match self.models.get(&self.group_of(x)) {
             Some(model) => model.predict_one(&self.strip_group(x)),
             None => Ok(global),
@@ -195,6 +197,7 @@ impl Regressor for PerGroupKnn {
         // back into input order.
         let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (ri, row) in xs.iter().enumerate() {
+            finite_row(None, row)?;
             buckets.entry(self.group_of(row)).or_default().push(ri);
         }
         let mut out = vec![global; xs.rows()];
@@ -231,6 +234,32 @@ mod tests {
             y.push(-50.0 + 2.0 * c);
         }
         (x, y)
+    }
+
+    #[test]
+    fn non_finite_features_are_errors_not_panics() {
+        let (x, y) = two_group_data();
+        let mut m = PerGroupKnn::new(1..3, 2, Weighting::Distance, 2.0).unwrap();
+        m.fit(&x, &y).unwrap();
+        let query = Some(MlError::NonFiniteFeature {
+            row: None,
+            column: 1,
+        });
+        assert_eq!(m.predict_one(&[1.5, f64::NAN, 0.0]).err(), query);
+        let batch = FeatureMatrix::from_rows(&[vec![1.5, 1.0, 0.0], vec![1.5, f64::NAN, 0.0]]);
+        assert_eq!(m.predict_batch(&batch.unwrap()).err(), query);
+
+        let mut bad = x.clone();
+        bad[4][0] = f64::NAN;
+        let mut m = PerGroupKnn::new(1..3, 2, Weighting::Distance, 2.0).unwrap();
+        assert_eq!(
+            m.fit(&bad, &y),
+            Err(MlError::NonFiniteFeature {
+                row: Some(4),
+                column: 0,
+            })
+        );
+        assert_eq!(m.predict_one(&[1.5, 1.0, 0.0]), Err(MlError::NotFitted));
     }
 
     #[test]

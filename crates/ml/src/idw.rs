@@ -5,7 +5,9 @@
 //! an ablation baseline for the Figure-8 bench (see `DESIGN.md` §6).
 
 use crate::kdtree::{IndexScratch, NeighborIndex};
-use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{
+    finite_row, finite_rows, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor,
+};
 
 /// Shepard interpolation: `ŷ(q) = Σ wᵢ yᵢ / Σ wᵢ` with `wᵢ = 1/dᵢᵖ`
 /// over the `max_neighbors` nearest samples.
@@ -83,6 +85,7 @@ impl IdwInterpolator {
                 found: q.len(),
             });
         }
+        finite_row(None, q)?;
         index.nearest_into(q, self.max_neighbors, scratch, nn);
         // Exact hits dominate.
         let mut exact_sum = 0.0;
@@ -111,6 +114,7 @@ impl Regressor for IdwInterpolator {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
         validate_xy(x, y)?;
         let rows = FeatureMatrix::from_rows(x).expect("validated rows");
+        finite_rows(&rows)?;
         self.index = Some(NeighborIndex::new(rows));
         self.y = y.to_vec();
         Ok(())
@@ -118,6 +122,7 @@ impl Regressor for IdwInterpolator {
 
     fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
         validate_matrix_y(xs, y)?;
+        finite_rows(xs)?;
         self.index = Some(NeighborIndex::new(xs.clone()));
         self.y = y.to_vec();
         Ok(())
@@ -205,6 +210,39 @@ mod tests {
                 assert_eq!(idw.predict_one(q).unwrap(), *b, "cap {cap}");
             }
         }
+    }
+
+    #[test]
+    fn non_finite_features_are_errors_not_panics() {
+        let x: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i % 8) as f64 * 0.5, (i / 8) as f64 * 0.7, 1.0])
+            .collect();
+        let y: Vec<f64> = (0..40).map(|i| -50.0 - i as f64).collect();
+        let mut idw = IdwInterpolator::new(2.0, 16).unwrap();
+        idw.fit(&x, &y).unwrap();
+        let query = Some(MlError::NonFiniteFeature {
+            row: None,
+            column: 1,
+        });
+        assert_eq!(idw.predict_one(&[1.0, f64::INFINITY, 1.0]).err(), query);
+        let batch =
+            FeatureMatrix::from_rows(&[vec![1.0, 1.0, 1.0], vec![1.0, f64::NAN, 1.0]]).unwrap();
+        assert_eq!(idw.predict_batch(&batch).err(), query);
+
+        let mut bad = x.clone();
+        bad[39][2] = f64::NAN;
+        let fit = Some(MlError::NonFiniteFeature {
+            row: Some(39),
+            column: 2,
+        });
+        let mut idw = IdwInterpolator::new(2.0, 16).unwrap();
+        assert_eq!(idw.fit(&bad, &y).err(), fit);
+        assert_eq!(
+            idw.fit_batch(&FeatureMatrix::from_rows(&bad).unwrap(), &y)
+                .err(),
+            fit
+        );
+        assert_eq!(idw.predict_one(&[1.0, 1.0, 1.0]), Err(MlError::NotFitted));
     }
 
     #[test]

@@ -29,6 +29,42 @@
 //! rows are stored once, row-major; the trees hold only their tree
 //! columns.
 //!
+//! # Own-group scoring
+//!
+//! A lattice fill queries one AP's key over and over, and that key's own
+//! group sits at offset exactly `0.0`. There the leaf kernel's tree-column
+//! distance already is the full-row score, bit for bit, when the tree
+//! columns are the rows' first `t ≤ 3` columns; the index checks that rule
+//! once, at build, and a search then takes the leaf distance as the score
+//! instead of re-scoring the row. The proof:
+//!
+//! 1. **Every key term is `+0`.** The offset is [`sq_euclidean`] over the
+//!    key columns, a rounded sum of squares. Rounded addition of
+//!    non-negative values is never below either operand, so an offset of
+//!    `0` means every key term `(q_c - g_c)²` is `+0`; that includes a term
+//!    whose difference is non-zero but whose square underflows. A row of
+//!    the group holds, in each key column, the group key's value up to the
+//!    sign of a zero. So the row kernel's `r_c - q_c` is `±(q_c - g_c)` or
+//!    a signed zero, and its square is the same `+0`.
+//! 2. **The row kernel adds the tree terms as the tree kernel does.** Both
+//!    kernels compute each term as `(row value - query value)²`. For a row
+//!    of fewer than 8 columns the row kernel sums them in column order from
+//!    a zero start: `(T₀ + T₁) + T₂`, then `+0` terms. For 8 or more,
+//!    lanes 0 to `t - 1` hold `T₀ … T_{t-1}` plus `+0` terms, the other
+//!    lanes and the tail hold only `+0` terms, and `combine` forms
+//!    `((T₀ + T₁) + (T₂ + 0)) + (0 + 0) + 0 = (T₀ + T₁) + T₂`. The tree
+//!    kernel sums its `t < 8` columns in order: `(T₀ + T₁) + T₂`. Adding
+//!    `+0` or a zero start to a non-negative value returns it unchanged
+//!    (`-0 + +0` is `+0`), so both give the same bits.
+//!
+//! The rule is the simplest that covers every layout the workspace builds:
+//! the paper's rows, Knn3, PerMacKnn, IDW and kriging all put at most three
+//! coordinates first. It fails for four tree columns, where the row kernel
+//! adds `(T₀ + T₁) + (T₂ + T₃)` and the tree kernel `((T₀ + T₁) + T₂) + T₃`,
+//! and for tree columns after the key columns, whose terms can land in
+//! lanes `combine` pairs differently. Every group at a positive offset, and
+//! every index the rule rejects, re-scores each point that may rank.
+//!
 //! # Tree layout
 //!
 //! Each tree is **leaf-based**: points are permuted into *slot order* so
@@ -41,7 +77,6 @@
 //! bit-identical per point to the scalar [`sq_euclidean`].
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use aerorem_numerics::kernels::{sq_euclidean, sq_euclidean_cols_into};
@@ -77,7 +112,39 @@ const KDTREE_MAX_DIM: usize = 8;
 /// [`MAX_PROBE_DIM`] columns, and costs a relative `2⁻⁴⁰` of pruning.
 /// Subnormal sums are exact, and an underflowing product only lowers the
 /// bound, so both stay safe.
+///
+/// The bound is compared without a square root: with `w` the k-th
+/// candidate's distance, a point may rank when
+/// `x = fl(lower · SLACK) <= sq_threshold(w) = next_up(fl(w²))`. That keeps
+/// every point the root test `fl(√x) <= w` keeps. Rounding to nearest,
+/// `fl(√x) <= w` implies `√x <= w + ulp(w)/2`, so
+/// `x <= w² + w·ulp(w) + ulp(w)²/4`, and `fl(w²)` is at most half an
+/// ulp of `w²` below `w²`:
+///
+/// * **Normal squares.** Write `w = m·2^e` with `1 <= m < 2`, so
+///   `w·ulp(w) = m·2^(2e-52)`. That is under `√2` ulps of `w²` when
+///   `m² < 2` (`ulp(w²) = 2^(2e-52)`) and under one when `m² >= 2`
+///   (`ulp(w²) = 2^(2e-51)`). So `x < fl(w²) + 2·ulp(w²)`, and the
+///   doubles there are `fl(w²)` and `next_up(fl(w²))`; past the top of
+///   `fl(w²)`'s binade they lie twice as far apart, which only helps.
+/// * **Subnormal squares.** For `w < 2^-511`, `w²` falls below `2^-1022`,
+///   where doubles lie `2^-1074` apart, and `w·ulp(w) < 2^-1074` (it is
+///   at most `w²·2^-52` for a normal `w`, and far smaller for a subnormal
+///   one). So `x < fl(w²) + 1.5·2^-1074` plus the negligible
+///   `ulp(w)²/4`, again at most `next_up(fl(w²))`. This covers a
+///   subnormal or zero `w`, whose square rounds to `0`.
+/// * **Overflow.** A square above `f64::MAX` rounds to `+∞`, and
+///   `next_up(+∞)` is `+∞`, which bounds every `x`.
+///
+/// The bound admits at most two doubles more than the exact threshold,
+/// the largest double whose root is at most `w`; such a point only
+/// reaches [`NeighborScratch::offer`]'s exact comparison, so the results
+/// are those of the root test.
 const BOUND_SLACK: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
+
+/// Most tree columns for which a leaf distance can stand in for the full
+/// row's score (see the module docs' own-group scoring).
+const OWN_GROUP_MAX_TREE_COLS: usize = 3;
 
 /// Widest full row a [`GroupProbe`] may score: the bound behind
 /// [`BOUND_SLACK`] holds up to this many columns.
@@ -87,8 +154,8 @@ const MAX_PROBE_DIM: usize = 1 << 11;
 /// group order only for the index that computed it.
 static NEXT_INDEX_ID: AtomicU64 = AtomicU64::new(0);
 
-/// A `(distance, index)` candidate in the bounded max-heap, ordered
-/// exactly as brute force ranks rows: by `√K`, then by index.
+/// A `(distance, index)` candidate, ordered exactly as brute force ranks
+/// rows: by `√K`, then by index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Candidate {
     dist: f64,
@@ -115,11 +182,15 @@ impl Ord for Candidate {
 /// How the index lends one group's tree to a search: every point of the
 /// tree shares `offset`, the exact squared distance over the columns the
 /// tree leaves out, and a point that may still rank is scored on its full
-/// row.
+/// row, or by its leaf distance when that is the same bits.
 #[derive(Debug, Clone, Copy)]
 struct GroupProbe<'a> {
     /// [`sq_euclidean`] between the query's and the group's key columns.
     offset: f64,
+    /// Whether a leaf distance is the full row's [`sq_euclidean`]: the
+    /// group is at offset `0` in an index whose layout passes the
+    /// own-group rule (see the module docs).
+    leaf_is_score: bool,
     /// The full rows, row-major, `query.len()` values each.
     data: &'a [f64],
     /// The full query row.
@@ -137,44 +208,66 @@ struct Node {
     right: u32,
 }
 
-/// The bounded candidate heap and leaf distance buffer of one search.
+/// The k best candidates and leaf distance buffer of one search.
 #[derive(Debug, Default, Clone)]
 struct NeighborScratch {
-    heap: BinaryHeap<Candidate>,
+    /// At most `k` candidates, nearest first.
+    best: Vec<Candidate>,
+    /// [`sq_threshold`] of the k-th candidate's distance, `+∞` while fewer
+    /// than `k` are kept.
+    threshold: f64,
     dists: Vec<f64>,
 }
 
 impl NeighborScratch {
+    /// Empties the candidates for a new search.
+    fn reset(&mut self) {
+        self.best.clear();
+        self.threshold = f64::INFINITY;
+    }
+
     /// Whether a point whose squared distance is at least `lower`, up to
     /// the rounding [`BOUND_SLACK`] absorbs, could still enter the `k`
     /// best. Non-strict: a point tying the k-th distance can still win on
     /// its index.
-    fn may_enter(&self, k: usize, lower: f64) -> bool {
-        self.heap.len() < k
-            || self
-                .heap
-                .peek()
-                .is_none_or(|worst| (lower * BOUND_SLACK).sqrt() <= worst.dist)
+    fn may_enter(&self, lower: f64) -> bool {
+        lower * BOUND_SLACK <= self.threshold
     }
 
-    /// Keeps `cand` if it ranks among the `k` best seen so far.
+    /// Keeps `cand` if it ranks among the `k ≥ 1` best seen so far.
     fn offer(&mut self, k: usize, cand: Candidate) {
-        if self.heap.len() < k {
-            self.heap.push(cand);
-        } else if let Some(mut worst) = self.heap.peek_mut() {
-            if cand < *worst {
-                *worst = cand;
+        if self.best.len() == k {
+            if self.best.last().is_some_and(|worst| cand >= *worst) {
+                return;
             }
+            self.best.pop();
+        }
+        // One insertion-sort step: shift the worse candidates up a slot.
+        self.best.push(cand);
+        let mut at = self.best.len() - 1;
+        while at > 0 && cand < self.best[at - 1] {
+            self.best[at] = self.best[at - 1];
+            at -= 1;
+        }
+        self.best[at] = cand;
+        if let Some(worst) = self.best.get(k - 1) {
+            self.threshold = sq_threshold(worst.dist);
         }
     }
 
     /// Replaces the contents of `out` with the kept candidates as
-    /// `(index, distance)` pairs, nearest first, and empties the heap.
+    /// `(index, distance)` pairs, nearest first.
     fn drain_sorted_into(&mut self, out: &mut Vec<(usize, f64)>) {
         out.clear();
-        out.extend(self.heap.drain().map(|c| (c.index, c.dist)));
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
+        out.extend(self.best.drain(..).map(|c| (c.index, c.dist)));
     }
+}
+
+/// An upper bound on the largest double whose square root is at most
+/// `dist`: `x.sqrt() <= dist` implies `x <= sq_threshold(dist)` for every
+/// `x >= 0`, as [`BOUND_SLACK`]'s docs prove.
+fn sq_threshold(dist: f64) -> f64 {
+    (dist * dist).next_up()
 }
 
 /// An exact KD-tree over one group's tree columns, in a flat arena.
@@ -226,9 +319,10 @@ impl KdTree {
     /// Offers this tree's points to `scratch`'s `k` best as `probe`
     /// describes them: `query` holds the query's values in the tree's
     /// columns, bounds carry `probe.offset`, and a point that may still
-    /// rank is scored by [`sq_euclidean`] over its full row. Scratch is
-    /// neither cleared nor drained, so a caller can search several groups
-    /// into one candidate set.
+    /// rank is scored by [`sq_euclidean`] over its full row, or by its leaf
+    /// distance where `probe.leaf_is_score` says that is the same bits.
+    /// Scratch is neither cleared nor drained, so a caller can search
+    /// several groups into one candidate set.
     fn search_group(
         &self,
         query: &[f64],
@@ -255,7 +349,7 @@ impl KdTree {
         let n = self.nodes[node as usize];
         if n.axis == NO_NODE {
             // Leaf: one SoA block scan over the slot range, then tie-exact
-            // heap maintenance on the full rows of the points that may rank.
+            // candidate upkeep on the scores of the points that may rank.
             let (lo, hi) = (n.left as usize, n.right as usize);
             let mut dists = std::mem::take(&mut scratch.dists);
             dists.resize(hi - lo, 0.0);
@@ -263,11 +357,15 @@ impl KdTree {
             sq_euclidean_cols_into(&self.cols, points, query, lo, hi, &mut dists);
             let dim = probe.query.len();
             for (&row, &dist2) in self.slot_to_row[lo..hi].iter().zip(&dists) {
-                if !scratch.may_enter(k, dist2 + probe.offset) {
+                if !scratch.may_enter(dist2 + probe.offset) {
                     continue;
                 }
                 let row = row as usize;
-                let full = sq_euclidean(&probe.data[row * dim..(row + 1) * dim], probe.query);
+                let full = if probe.leaf_is_score {
+                    dist2
+                } else {
+                    sq_euclidean(&probe.data[row * dim..(row + 1) * dim], probe.query)
+                };
                 scratch.offer(
                     k,
                     Candidate {
@@ -289,7 +387,7 @@ impl KdTree {
         // Visit the far side unless every point there is provably worse than
         // the current worst candidate: `delta²` is one of the terms of any
         // far-side distance, so it (plus the offset) bounds it from below.
-        if scratch.may_enter(k, delta * delta + probe.offset) {
+        if scratch.may_enter(delta * delta + probe.offset) {
             self.search(far, query, k, probe, scratch);
         }
     }
@@ -336,6 +434,10 @@ struct Grouped {
     key_cols: Vec<usize>,
     tree_cols: Vec<usize>,
     groups: Vec<Group>,
+    /// Whether the tree columns are the rows' first `t ≤ 3` columns, so a
+    /// group at offset `0` is scored from its leaf distances (see the
+    /// module docs).
+    own_group_rule: bool,
 }
 
 /// The rows sharing one key.
@@ -360,7 +462,7 @@ pub struct IndexScratch {
     /// `(offset, group)` in ascending offset, ties by group.
     order: Vec<(f64, usize)>,
     tree_query: Vec<f64>,
-    heap: NeighborScratch,
+    search: NeighborScratch,
     /// Candidate buffer of the scanned layout.
     pub(crate) cand: Vec<(usize, f64)>,
 }
@@ -369,6 +471,12 @@ impl NeighborIndex {
     /// Indexes `rows`, which the index then owns: the grouped layout when
     /// they split into 1 to `KDTREE_MAX_DIM` tree columns plus key
     /// columns, a scan otherwise.
+    ///
+    /// # Panics
+    ///
+    /// The rows must be finite: a NaN may panic the build. kNN, IDW and
+    /// kriging check their rows first and return
+    /// [`MlError::NonFiniteFeature`](crate::MlError::NonFiniteFeature).
     pub fn new(rows: FeatureMatrix) -> NeighborIndex {
         let id = NEXT_INDEX_ID.fetch_add(1, AtomicOrdering::Relaxed);
         let dim = rows.dim();
@@ -409,7 +517,11 @@ impl NeighborIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `query.len()` differs from the rows' dimension.
+    /// Panics if `query.len()` differs from the rows' dimension. The query
+    /// must be finite, like the rows: a NaN, or an infinity facing another
+    /// in the same column, makes a distance NaN, which panics the ranking.
+    /// kNN, IDW and kriging check each query first and return
+    /// [`MlError::NonFiniteFeature`](crate::MlError::NonFiniteFeature).
     pub fn nearest_into(
         &self,
         query: &[f64],
@@ -460,10 +572,13 @@ impl Grouped {
                 }
             })
             .collect();
+        let own_group_rule = tree_cols.len() <= OWN_GROUP_MAX_TREE_COLS
+            && tree_cols.iter().enumerate().all(|(i, &c)| i == c);
         Grouped {
             key_cols,
             tree_cols,
             groups,
+            own_group_rule,
         }
     }
 
@@ -501,24 +616,25 @@ impl Grouped {
         s.tree_query.clear();
         s.tree_query
             .extend(self.tree_cols.iter().map(|&c| query[c]));
-        s.heap.heap.clear();
+        s.search.reset();
         for &(offset, g) in &s.order {
             // Later groups have offsets at least this large, and every row
             // of a group lies at least its offset away.
-            if !s.heap.may_enter(k, offset) {
+            if !s.search.may_enter(offset) {
                 break;
             }
             let group = &self.groups[g];
             let probe = GroupProbe {
                 offset,
+                leaf_is_score: self.own_group_rule && offset == 0.0,
                 data,
                 query,
             };
             group
                 .tree
-                .search_group(&s.tree_query, k, &probe, &mut s.heap);
+                .search_group(&s.tree_query, k, &probe, &mut s.search);
         }
-        s.heap.drain_sorted_into(out);
+        s.search.drain_sorted_into(out);
     }
 }
 
@@ -864,6 +980,150 @@ mod tests {
                 assert_eq!(out, oracle(idx, &q, 2), "q={q:?}");
             }
         }
+    }
+
+    /// The exact threshold: the largest double whose root is at most `d`,
+    /// found by stepping from `d²`.
+    fn largest_square_within(d: f64) -> f64 {
+        let mut t = d * d;
+        if t.sqrt() <= d {
+            while t < f64::INFINITY && t.next_up().sqrt() <= d {
+                t = t.next_up();
+            }
+        } else {
+            while t.sqrt() > d {
+                t = t.next_down();
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn sq_threshold_bounds_the_largest_square_within_two_doubles() {
+        // Zero, subnormal, tiny (squares that underflow to subnormals),
+        // ordinary, huge (squares that overflow) and infinite distances,
+        // plus the √-tie distance of the test below.
+        let mut dists = vec![
+            0.0,
+            f64::from_bits(1),
+            1e-310,
+            f64::MIN_POSITIVE,
+            1e-160,
+            f64::MIN_POSITIVE.sqrt(),
+            2f64.powi(-511),
+            1e-100,
+            0.3,
+            1.0,
+            1.1180342570780601,
+            2f64.sqrt(),
+            2.0,
+            1e100,
+            f64::MAX.sqrt(),
+            f64::MAX.sqrt().next_up(),
+            1e200,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5C0);
+        dists.extend((0..4000).map(|_| 10f64.powf(rng.gen_range(-330.0..310.0))));
+        for &d in &dists {
+            let (t, exact) = (sq_threshold(d), largest_square_within(d));
+            assert!(t >= exact, "d={d:e} t={t:e} exact={exact:e}");
+            assert!(
+                t <= exact.next_up().next_up(),
+                "d={d:e} t={t:e} exact={exact:e}"
+            );
+            // Around the threshold, every square the root test keeps is
+            // kept.
+            let mut x = exact;
+            for _ in 0..4 {
+                x = x.next_down().max(0.0);
+            }
+            for _ in 0..8 {
+                assert!(x.sqrt() > d || x <= t, "d={d:e} x={x:e}");
+                x = x.next_up();
+            }
+        }
+    }
+
+    #[test]
+    fn sq_threshold_keeps_every_square_sharing_the_root() {
+        // Two squared distances that differ in their last bit share the
+        // root w: both may enter against a k-th distance of w.
+        let (k0, k1) = (
+            sq_euclidean(&[1.0000003, 0.5000000000000001], &[0.0, 0.0]),
+            sq_euclidean(&[1.0000003, 0.5], &[0.0, 0.0]),
+        );
+        let w = k0.sqrt();
+        assert!(k0 > k1 && k1.sqrt() == w);
+        let t = sq_threshold(w);
+        assert!(k1 <= t && k0 <= t);
+        assert!(k0 <= largest_square_within(w));
+    }
+
+    #[test]
+    fn own_group_rule_holds_only_for_up_to_three_leading_tree_columns() {
+        let mut rng = StdRng::seed_from_u64(0x0C0);
+        // `coords` coordinate columns before or after three one-hot columns.
+        let rows = |rng: &mut StdRng, coords: usize, last: bool| -> Vec<Vec<f64>> {
+            (0..60)
+                .map(|i| {
+                    let c: Vec<f64> = (0..coords).map(|_| rng.gen_range(0.0..4.0)).collect();
+                    let h: Vec<f64> = (0..3).map(|m| f64::from(u8::from(i % 3 == m))).collect();
+                    if last {
+                        [h, c].concat()
+                    } else {
+                        [c, h].concat()
+                    }
+                })
+                .collect()
+        };
+        let rule = |rows: &[Vec<f64>]| {
+            let idx = index(rows);
+            idx.grouped.as_ref().map(|g| g.own_group_rule)
+        };
+        for coords in 1..=3 {
+            assert_eq!(
+                rule(&rows(&mut rng, coords, false)),
+                Some(true),
+                "{coords} first"
+            );
+            assert_eq!(
+                rule(&rows(&mut rng, coords, true)),
+                Some(false),
+                "{coords} last"
+            );
+        }
+        for coords in 4..=8 {
+            assert_eq!(
+                rule(&rows(&mut rng, coords, false)),
+                Some(false),
+                "{coords} first"
+            );
+        }
+    }
+
+    #[test]
+    fn four_tree_columns_are_rescored_in_the_own_group() {
+        // [a, b, c, d | 1, 0, 0, 0]: the row kernel adds the terms 1, 2⁻⁵²,
+        // 2⁻⁵⁴, 2⁻⁵⁴ as (1 + 2⁻⁵²) + (2⁻⁵⁴ + 2⁻⁵⁴) = 1 + 2⁻⁵¹, the tree
+        // kernel as ((1 + 2⁻⁵²) + 2⁻⁵⁴) + 2⁻⁵⁴ = 1 + 2⁻⁵², and their roots
+        // differ. The query shares the rows' key, so the search visits
+        // their group at offset 0 and must still score the full row.
+        let (e26, e27) = (2f64.powi(-26), 2f64.powi(-27));
+        let rows = vec![
+            vec![1.0, e26, e27, e27, 1.0, 0.0, 0.0, 0.0],
+            vec![3.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.0],
+            vec![2.0, 3.0, 3.0, 3.0, 1.0, 0.0, 0.0, 0.0],
+        ];
+        let q = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0];
+        let idx = index(&rows);
+        assert!(idx.uses_trees());
+        assert_eq!(sq_euclidean(&rows[0], &q), 1.0 + 2f64.powi(-51));
+        assert_eq!(sq_euclidean(&rows[0][..4], &q[..4]), 1.0 + 2f64.powi(-52));
+        let want = oracle(&idx, &q, 1);
+        assert_eq!(want, vec![(0, 1.0 + f64::EPSILON)]);
+        assert_eq!(nearest(&idx, &q, 1), want);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! row.
 
 use crate::kdtree::{top_k_from_candidates, IndexScratch, NeighborIndex};
-use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{
+    finite_row, finite_rows, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor,
+};
 use aerorem_numerics::kernels::{sq_euclidean, taxicab};
 
 /// Neighbour weighting scheme.
@@ -244,6 +246,7 @@ impl KnnRegressor {
     /// `fit` and `fit_batch` end here, so the two are bit-identical by
     /// construction.
     fn fit_rows(&mut self, rows: FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
+        finite_rows(&rows)?;
         self.y = y.to_vec();
         self.dim = Some(rows.dim());
         self.fitted = Some(if self.is_euclidean() {
@@ -312,6 +315,7 @@ impl Regressor for KnnRegressor {
         let fitted = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
         let mut query = Vec::with_capacity(x.len());
         self.scale_into(x, &mut query);
+        finite_row(None, &query)?;
         let mut nn = Vec::new();
         self.neighbours_into(fitted, &query, &mut IndexScratch::default(), &mut nn);
         Ok(self.aggregate(&nn))
@@ -327,6 +331,7 @@ impl Regressor for KnnRegressor {
         let mut nn: Vec<(usize, f64)> = Vec::new();
         for row in xs.iter() {
             self.scale_into(row, &mut query);
+            finite_row(None, &query)?;
             self.neighbours_into(fitted, &query, &mut scratch, &mut nn);
             out.push(self.aggregate(&nn));
         }
@@ -581,6 +586,64 @@ mod tests {
             .with_feature_scaling(vec![1.0])
             .unwrap();
         assert!(bad.fit(&[vec![1.0, 2.0]], &[1.0]).is_err());
+    }
+
+    #[test]
+    fn non_finite_features_are_errors_not_panics() {
+        // 40 finite rows [x, y | one-hot MAC ×2]: the grouped index.
+        let x: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                let mac = f64::from(u8::from(i % 2 == 0));
+                vec![(i % 8) as f64 * 0.5, (i / 8) as f64 * 0.7, mac, 1.0 - mac]
+            })
+            .collect();
+        let y: Vec<f64> = (0..40).map(|i| -50.0 - i as f64).collect();
+        let mut knn = KnnRegressor::new(16, Weighting::Distance, 2.0).unwrap();
+        knn.fit(&x, &y).unwrap();
+        assert!(knn.uses_kdtree());
+        let query = Some(MlError::NonFiniteFeature {
+            row: None,
+            column: 0,
+        });
+        assert_eq!(knn.predict_one(&[f64::NAN, 1.0, 3.0, 0.0]).err(), query);
+        let batch =
+            FeatureMatrix::from_rows(&[vec![1.0, 1.0, 1.0, 0.0], vec![f64::NAN, 1.0, 3.0, 0.0]])
+                .unwrap();
+        assert_eq!(knn.predict_batch(&batch).err(), query);
+        // A finite value that overflows under the feature scale is caught
+        // after scaling, on both sides.
+        let mut scaled = KnnRegressor::new(16, Weighting::Distance, 2.0)
+            .unwrap()
+            .with_feature_scaling(vec![1.0, 1.0, 1e300, 1e300])
+            .unwrap();
+        scaled.fit(&x, &y).unwrap();
+        assert_eq!(
+            scaled.predict_one(&[1.0, 1.0, 1e10, 0.0]),
+            Err(MlError::NonFiniteFeature {
+                row: None,
+                column: 2,
+            })
+        );
+
+        let mut bad = x.clone();
+        bad[7][1] = f64::NAN;
+        let fit = Some(MlError::NonFiniteFeature {
+            row: Some(7),
+            column: 1,
+        });
+        let mut knn = KnnRegressor::new(16, Weighting::Distance, 2.0).unwrap();
+        assert_eq!(knn.fit(&bad, &y).err(), fit);
+        assert_eq!(
+            knn.fit_batch(&FeatureMatrix::from_rows(&bad).unwrap(), &y)
+                .err(),
+            fit
+        );
+        assert_eq!(
+            knn.predict_one(&[1.0, 1.0, 1.0, 0.0]),
+            Err(MlError::NotFitted)
+        );
+        bad[7][1] = f64::INFINITY;
+        assert_eq!(scaled.fit(&bad, &y).err(), fit);
     }
 
     #[test]

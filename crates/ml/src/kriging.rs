@@ -17,7 +17,9 @@ use aerorem_numerics::kernels::sq_euclidean;
 use aerorem_numerics::{LuFactors, Matrix};
 
 use crate::kdtree::{IndexScratch, NeighborIndex};
-use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{
+    finite_row, finite_rows, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor,
+};
 
 /// Parametric semivariogram families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -542,6 +544,7 @@ impl OrdinaryKriging {
                 found: q.len(),
             });
         }
+        finite_row(None, q)?;
         index.nearest_into(
             q,
             self.config.max_neighbors,
@@ -691,6 +694,7 @@ impl OrdinaryKriging {
         if xm.rows() < 2 {
             return Err(MlError::EmptyTrainingSet);
         }
+        finite_rows(&xm)?;
         // Max lag: half the data diameter (standard practice).
         let probe = xm.rows().min(200);
         let mut max_lag = 0.0f64;
@@ -1138,6 +1142,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn non_finite_features_are_errors_not_panics() {
+        let ok = fitted_2d();
+        let query = Some(MlError::NonFiniteFeature {
+            row: None,
+            column: 0,
+        });
+        assert_eq!(ok.predict_one(&[f64::NAN, 1.0]).err(), query);
+        let batch = FeatureMatrix::from_rows(&[vec![1.0, 1.0], vec![f64::NAN, 1.0]]).unwrap();
+        assert_eq!(ok.predict_batch(&batch).err(), query);
+        assert_eq!(ok.predict_with_variance_batch(&batch).err(), query);
+
+        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 * 0.3, 1.0]).collect();
+        let y: Vec<f64> = (0..20).map(|i| -60.0 - i as f64).collect();
+        let mut bad = x.clone();
+        bad[3][1] = f64::NEG_INFINITY;
+        let fit = Some(MlError::NonFiniteFeature {
+            row: Some(3),
+            column: 1,
+        });
+        let mut ok = OrdinaryKriging::new(KrigingConfig::default());
+        assert_eq!(ok.fit(&bad, &y).err(), fit);
+        assert_eq!(
+            ok.fit_batch(&FeatureMatrix::from_rows(&bad).unwrap(), &y)
+                .err(),
+            fit
+        );
+        assert_eq!(ok.predict_one(&[1.0, 1.0]), Err(MlError::NotFitted));
     }
 
     #[test]

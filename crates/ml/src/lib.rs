@@ -87,6 +87,13 @@ pub enum MlError {
     },
     /// A numerical routine failed (singular kriging system, NaN loss, …).
     Numerical(String),
+    /// A feature value is NaN or infinite, which no distance can rank.
+    NonFiniteFeature {
+        /// The training row, or `None` for a query row.
+        row: Option<usize>,
+        /// The column, after any feature scaling.
+        column: usize,
+    },
 }
 
 impl fmt::Display for MlError {
@@ -107,6 +114,16 @@ impl fmt::Display for MlError {
                 write!(f, "{rows} feature rows but {targets} targets")
             }
             MlError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
+            MlError::NonFiniteFeature {
+                row: Some(row),
+                column,
+            } => write!(
+                f,
+                "non-finite feature in training row {row}, column {column}"
+            ),
+            MlError::NonFiniteFeature { row: None, column } => {
+                write!(f, "non-finite feature in query column {column}")
+            }
         }
     }
 }
@@ -124,7 +141,9 @@ pub trait Regressor: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError`] for empty, ragged, or mismatched input.
+    /// Returns [`MlError`] for empty, ragged, or mismatched input; the
+    /// neighbour estimators (kNN, IDW, kriging) return
+    /// [`MlError::NonFiniteFeature`] for a NaN or infinite feature.
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError>;
 
     /// Predicts the target for one feature row.
@@ -132,7 +151,9 @@ pub trait Regressor: Send + Sync {
     /// # Errors
     ///
     /// Returns [`MlError::NotFitted`] before fit and
-    /// [`MlError::DimensionMismatch`] for wrong-width rows.
+    /// [`MlError::DimensionMismatch`] for wrong-width rows; the neighbour
+    /// estimators return [`MlError::NonFiniteFeature`] for a NaN or
+    /// infinite feature.
     fn predict_one(&self, x: &[f64]) -> Result<f64, MlError>;
 
     /// Predicts a batch of rows.
@@ -195,6 +216,53 @@ pub(crate) fn validate_matrix_y(xs: &FeatureMatrix, y: &[f64]) -> Result<usize, 
         });
     }
     Ok(xs.dim())
+}
+
+/// Checks that every training row is finite, the precondition of
+/// [`kdtree::NeighborIndex`].
+///
+/// # Errors
+///
+/// [`MlError::NonFiniteFeature`] for the first NaN or infinite value.
+pub(crate) fn finite_rows(rows: &FeatureMatrix) -> Result<(), MlError> {
+    match first_non_finite(rows.as_slice()) {
+        None => Ok(()),
+        Some(at) => Err(MlError::NonFiniteFeature {
+            row: Some(at / rows.dim()),
+            column: at % rows.dim(),
+        }),
+    }
+}
+
+/// Checks that one row is finite: training row `row`, or a query row when
+/// `row` is `None`.
+///
+/// # Errors
+///
+/// [`MlError::NonFiniteFeature`] for the first NaN or infinite value.
+pub(crate) fn finite_row(row: Option<usize>, values: &[f64]) -> Result<(), MlError> {
+    match first_non_finite(values) {
+        None => Ok(()),
+        Some(column) => Err(MlError::NonFiniteFeature { row, column }),
+    }
+}
+
+/// Position of the first NaN or infinite value. The all-finite case is one
+/// branch-free pass over eight independent sums: `v * 0.0` is `±0` for a
+/// finite `v` and NaN otherwise, and a NaN survives every addition.
+fn first_non_finite(values: &[f64]) -> Option<usize> {
+    let chunks = values.chunks_exact(8);
+    let tail = chunks.remainder().iter().fold(0.0, |a, v| a + v * 0.0);
+    let mut acc = [0.0f64; 8];
+    for chunk in chunks {
+        for (a, v) in acc.iter_mut().zip(chunk) {
+            *a += v * 0.0;
+        }
+    }
+    if acc.iter().sum::<f64>() + tail == 0.0 {
+        return None;
+    }
+    values.iter().position(|v| !v.is_finite())
 }
 
 /// Validates a feature matrix + target vector pair, returning the feature

@@ -100,11 +100,11 @@ pub fn taxicab(a: &[f64], b: &[f64]) -> f64 {
     combine(s, tail)
 }
 
-/// Points per block in [`sq_euclidean_cols_into`]: big enough that the
-/// per-block bookkeeping amortizes, small enough that the block's
-/// accumulators (`(LANES + 1) × BLOCK` f64s ≈ 9 KB) live on the stack and
-/// in L1.
-const COL_BLOCK: usize = 128;
+/// Points per block of lane accumulators in [`sq_euclidean_cols_into`],
+/// which only queries of at least `LANES` dimensions use: one KD-tree
+/// leaf, so such a leaf scan zeroes `LANES × 16` f64s (1 KB), and a longer
+/// scan zeroes in proportion to its points.
+const LANE_BLOCK: usize = 16;
 
 /// Squared Euclidean distances from `query` to a contiguous range of points
 /// stored **dimension-major** (SoA): `cols[d * n_points + j]` is coordinate
@@ -119,6 +119,13 @@ const COL_BLOCK: usize = 128;
 /// (eight-lane groups into per-lane accumulators, remainder dimensions
 /// sequentially, combined by the same `combine` tree), so
 /// `out[j - lo]` is bit-identical to `sq_euclidean(point_j, query)`.
+///
+/// The accumulators are sized to the scan: the remainder dimensions sum
+/// straight into `out`, and lane accumulators exist only for queries of at
+/// least `LANES` (8) dimensions, in blocks of `LANE_BLOCK` (16) points.
+/// Below `LANES` dimensions the remainder sum is the result: it starts at `+0`
+/// and adds non-negative terms, so it is never `-0`, and `combine` adds it
+/// to an all-zero lane sum of `+0`, which returns it unchanged.
 ///
 /// # Panics
 ///
@@ -137,33 +144,35 @@ pub fn sq_euclidean_cols_into(
     assert!(lo <= hi && hi <= n_points, "point range out of bounds");
     assert_eq!(out.len(), hi - lo, "out length must match the point range");
     let full = dim - dim % LANES;
-    let mut base = lo;
-    for out_block in out.chunks_mut(COL_BLOCK) {
-        let bn = out_block.len();
-        let mut lanes = [[0.0f64; COL_BLOCK]; LANES];
-        for d0 in (0..full).step_by(LANES) {
-            for l in 0..LANES {
-                let q = query[d0 + l];
-                let col = &cols[(d0 + l) * n_points + base..(d0 + l) * n_points + base + bn];
-                let acc = &mut lanes[l];
-                for (jj, &c) in col.iter().enumerate() {
-                    let d = c - q;
-                    acc[jj] += d * d;
-                }
-            }
+    out.fill(0.0);
+    for d in full..dim {
+        let q = query[d];
+        let col = &cols[d * n_points + lo..d * n_points + hi];
+        for (o, &c) in out.iter_mut().zip(col) {
+            let d = c - q;
+            *o += d * d;
         }
-        let mut tail = [0.0f64; COL_BLOCK];
-        for d in full..dim {
-            let q = query[d];
-            let col = &cols[d * n_points + base..d * n_points + base + bn];
-            for (jj, &c) in col.iter().enumerate() {
-                let d = c - q;
-                tail[jj] += d * d;
+    }
+    if full == 0 {
+        return;
+    }
+    let mut base = lo;
+    for out_block in out.chunks_mut(LANE_BLOCK) {
+        let bn = out_block.len();
+        let mut lanes = [[0.0f64; LANE_BLOCK]; LANES];
+        for d0 in (0..full).step_by(LANES) {
+            for (l, acc) in lanes.iter_mut().enumerate() {
+                let q = query[d0 + l];
+                let start = (d0 + l) * n_points + base;
+                for (a, &c) in acc.iter_mut().zip(&cols[start..start + bn]) {
+                    let d = c - q;
+                    *a += d * d;
+                }
             }
         }
         for (jj, o) in out_block.iter_mut().enumerate() {
             let s: [f64; LANES] = std::array::from_fn(|l| lanes[l][jj]);
-            *o = combine(s, tail[jj]);
+            *o = combine(s, *o);
         }
         base += bn;
     }

@@ -497,6 +497,12 @@ fn coverage(flags: &Flags) -> Result<(), String> {
     let samples = load_samples(flags)?;
     let threshold: f64 = flag(flags, "threshold", -75.0)?;
     let radius: f64 = flag(flags, "radius", 1.2)?;
+    if !threshold.is_finite() {
+        return Err(format!("bad --threshold: {threshold} (must be finite)"));
+    }
+    if !(radius.is_finite() && radius >= 0.0) {
+        return Err(format!("bad --radius: {radius} (must be finite and >= 0)"));
+    }
     let (model, layout) = fit_best_model(&samples)?;
     let rems: Vec<RemGrid> = layout
         .macs()
@@ -515,7 +521,10 @@ fn coverage(flags: &Flags) -> Result<(), String> {
             "suggested relay at {}: fixes {}/{} dark cells",
             plan.position, plan.dark_cells_covered, plan.dark_cells_total
         ),
-        None => println!("no dark cells — coverage complete"),
+        None if cov.dark_cells(threshold).is_empty() => {
+            println!("no dark cells — coverage complete")
+        }
+        None => println!("no relay position within {radius} m of a dark cell"),
     }
     Ok(())
 }

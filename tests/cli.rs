@@ -267,6 +267,68 @@ fn a_bad_fleet_plan_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn coverage_reports_dark_cells_only_when_there_are_none() {
+    let samples = tmp("cov_samples.csv");
+    let samples = samples.to_str().unwrap();
+    let out = bin()
+        .args(["survey", "--seed", "3", "--out", samples])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // A NaN threshold matches no cell and a negative or NaN radius reaches
+    // no dark cell, so neither may be read as complete coverage.
+    for (bad, threshold, radius) in [
+        ("--radius", "-45", "-1"),
+        ("--radius", "-45", "nan"),
+        ("--radius", "-45", "inf"),
+        ("--threshold", "nan", "1.2"),
+        ("--threshold", "-inf", "1.2"),
+    ] {
+        let args = [
+            "coverage",
+            "--in",
+            samples,
+            "--threshold",
+            threshold,
+            "--radius",
+            radius,
+        ];
+        let error = one_error_line(&args);
+        assert!(error.contains(bad), "{args:?}: {error}");
+    }
+    let coverage = |threshold: &str| {
+        let out = bin()
+            .args(["coverage", "--in", samples, "--threshold", threshold])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let dark = coverage("-45");
+    assert!(
+        dark.contains("coverage at -45 dBm: 0% of the volume"),
+        "{dark}"
+    );
+    assert!(dark.contains("suggested relay at"), "{dark}");
+    assert!(!dark.contains("no dark cells"), "{dark}");
+    let lit = coverage("-200");
+    assert!(
+        lit.contains("coverage at -200 dBm: 100% of the volume"),
+        "{lit}"
+    );
+    assert!(lit.contains("no dark cells"), "{lit}");
+    let _ = std::fs::remove_file(samples);
+}
+
+#[test]
 fn duplicate_flags_are_rejected_not_last_wins() {
     // Before the fix, `--out a.csv --out b.csv` silently kept b.csv;
     // now every duplicated flag is a usage error naming the flag.

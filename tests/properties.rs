@@ -29,15 +29,20 @@ fn vec3() -> impl Strategy<Value = Vec3> {
         .prop_map(|(x, y, z)| Vec3::new(x, y, z))
 }
 
-/// The row shape of `knn_matches_the_brute_force_oracle_bits`, already
-/// scaled: `[coordinates | one-hot MAC ×1 or ×3 | one-hot channel | zeros]`
-/// with lattice-snapped coordinates, nudged up one ulp half the time, so
-/// exact distance ties and squared distances that share a square root both
-/// occur. `layout` 0 takes the index's grouped layout; 1 makes every column
-/// two-valued and 2 gives 9 coordinate columns, its two scanned layouts.
+/// The row shape of the neighbour-index oracles:
+/// `[coordinates | one-hot MAC | one-hot channel | zeros]` with
+/// lattice-snapped coordinates, nudged up one ulp half the time, so exact
+/// distance ties and squared distances that share a square root both
+/// occur. `layout` 0 takes the index's grouped layout in one of three
+/// forms: 1 to 3 coordinates first, the paper's layout, where a query's own
+/// key group is scored from its leaf distances; 4 to 8 coordinates first;
+/// or 1 to 8 coordinates after the one-hot blocks. The last two must be
+/// re-scored on the full row. Layout 1 makes every column two-valued and 2
+/// gives 9 coordinate columns, the index's two scanned layouts.
 struct OracleRows {
     layout: usize,
     coords: usize,
+    coords_last: bool,
     macs: usize,
     chans: usize,
     pads: usize,
@@ -48,9 +53,16 @@ struct OracleRows {
 impl OracleRows {
     fn new(rng: &mut rand::rngs::StdRng, layout: usize) -> Self {
         use rand::Rng;
+        let form = if layout == 0 { rng.gen_range(0..3) } else { 0 };
         OracleRows {
             layout,
-            coords: if layout == 2 { 9 } else { rng.gen_range(1..=3) },
+            coords: match (layout, form) {
+                (2, _) => 9,
+                (_, 0) => rng.gen_range(1..=3),
+                (_, 1) => rng.gen_range(4..=8),
+                _ => rng.gen_range(1..=8),
+            },
+            coords_last: form == 2,
             macs: rng.gen_range(1..=6),
             chans: rng.gen_range(1..=3),
             pads: rng.gen_range(0..=2),
@@ -61,6 +73,22 @@ impl OracleRows {
 
     fn dim(&self) -> usize {
         self.coords + self.macs + self.chans + self.pads
+    }
+
+    /// The one-hot MAC columns.
+    fn mac_cols(&self) -> std::ops::Range<usize> {
+        let first = if self.coords_last { 0 } else { self.coords };
+        first..first + self.macs
+    }
+
+    /// The coordinate columns of `row`.
+    fn coords_of<'r>(&self, row: &'r [f64]) -> &'r [f64] {
+        let first = if self.coords_last {
+            self.macs + self.chans
+        } else {
+            0
+        };
+        &row[first..first + self.coords]
     }
 
     /// One row at `at`'s coordinates, or at random ones, with the given
@@ -74,8 +102,8 @@ impl OracleRows {
     ) -> Vec<f64> {
         use rand::Rng;
         let step = self.step;
-        let mut v: Vec<f64> = match at {
-            Some(at) => at[..self.coords].to_vec(),
+        let coords: Vec<f64> = match at {
+            Some(at) => at.to_vec(),
             None if self.layout == 1 => (0..self.coords)
                 .map(|c| {
                     if rng.gen_bool(0.5) {
@@ -96,8 +124,15 @@ impl OracleRows {
                 })
                 .collect(),
         };
+        let mut v = Vec::with_capacity(self.dim());
+        if !self.coords_last {
+            v.extend_from_slice(&coords);
+        }
         v.extend((0..self.macs).map(|m| if mac == Some(m) { self.mac_value } else { 0.0 }));
         v.extend((0..self.chans).map(|c| f64::from(u8::from(chan == Some(c)))));
+        if self.coords_last {
+            v.extend_from_slice(&coords);
+        }
         v.extend(std::iter::repeat_n(0.0, self.pads));
         v
     }
@@ -138,7 +173,7 @@ impl OracleRows {
             .map(|(mac, chan)| {
                 let at = rng
                     .gen_bool(0.5)
-                    .then(|| x[rng.gen_range(0..x.len())].clone());
+                    .then(|| self.coords_of(&x[rng.gen_range(0..x.len())]).to_vec());
                 self.row(rng, at.as_deref(), mac, chan)
             })
             .collect()
@@ -375,12 +410,9 @@ proptest! {
 
     /// The kNN oracle: whichever backend a fit picks, `predict_one` and
     /// `predict_batch` equal distance weighting over
-    /// `brute_force_nearest_flat` of the scaled full rows, bit for bit.
-    /// Rows are `[coordinates | one-hot MAC | one-hot channel | zeros]`
-    /// with lattice-snapped coordinates, so exact distance ties and
-    /// squared distances that share a square root both occur. `layout` 0
-    /// takes the grouped index; 1 makes every column two-valued and 2
-    /// gives 9 coordinate columns, the two brute-force fallbacks.
+    /// `brute_force_nearest_flat` of the scaled full rows, bit for bit, on
+    /// `OracleRows`' row shapes, with the MAC block scaled ×3 half the
+    /// time.
     #[test]
     fn knn_matches_the_brute_force_oracle_bits(
         seed in 0u64..1_000_000,
@@ -391,49 +423,15 @@ proptest! {
         use aerorem::ml::FeatureMatrix;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let coords = if layout == 2 { 9 } else { rng.gen_range(1..=3) };
-        let (macs, chans, pads) = (rng.gen_range(1..=6), rng.gen_range(1..=3), rng.gen_range(0..=2));
-        let dim = coords + macs + chans + pads;
-        let step = [0.5, 0.1, 0.3][rng.gen_range(0..3usize)];
-        // A lattice value, nudged up one ulp half the time: equal lattice
-        // distances tie exactly, and nudged ones differ in the last bits,
-        // which is where distinct squared distances share a square root.
-        let lattice = |rng: &mut rand::rngs::StdRng, i: usize| {
-            let v = step * i as f64;
-            if rng.gen_bool(0.5) { f64::from_bits(v.to_bits() + 1) } else { v }
-        };
-        let row = |rng: &mut rand::rngs::StdRng, at: Option<&[f64]>, mac: Option<usize>, chan: Option<usize>| {
-            let mut v: Vec<f64> = match at {
-                Some(at) => at[..coords].to_vec(),
-                None if layout == 1 => (0..coords)
-                    .map(|c| if rng.gen_bool(0.5) { step * (c + 1) as f64 } else { 0.0 })
-                    .collect(),
-                None => (0..coords).map(|_| { let i = rng.gen_range(0..6); lattice(rng, i) }).collect(),
-            };
-            v.extend((0..macs).map(|m| f64::from(u8::from(mac == Some(m)))));
-            v.extend((0..chans).map(|c| f64::from(u8::from(chan == Some(c)))));
-            v.extend(std::iter::repeat_n(0.0, pads));
-            v
-        };
+        let shape = OracleRows::new(&mut rng, layout);
+        let dim = shape.dim();
         let n = rng.gen_range(2..80);
-        // Rows 0 and 1 give every coordinate column two distinct non-zero
-        // values, so no coordinate column passes for a key column.
-        let firsts: Vec<Vec<f64>> = if layout == 1 {
-            Vec::new()
-        } else {
-            (1..=2).map(|i| vec![step * i as f64; coords]).collect()
-        };
-        let x: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                let (mac, chan) = (rng.gen_range(0..macs), rng.gen_range(0..chans));
-                row(&mut rng, firsts.get(i).map(Vec::as_slice), Some(mac), Some(chan))
-            })
-            .collect();
+        let x = shape.training(&mut rng, n);
         let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-90.0..-30.0)).collect();
         let k = [1, 3, 16, n][k_pick];
         let weighting = if rng.gen_bool(0.5) { Weighting::Distance } else { Weighting::Uniform };
         let scale: Option<Vec<f64>> = rng.gen_bool(0.5).then(|| {
-            (0..dim).map(|c| if (coords..coords + macs).contains(&c) { 3.0 } else { 1.0 }).collect()
+            (0..dim).map(|c| if shape.mac_cols().contains(&c) { 3.0 } else { 1.0 }).collect()
         });
         let mut knn = KnnRegressor::new(k, weighting, 2.0).unwrap();
         if let Some(s) = &scale {
@@ -470,24 +468,7 @@ proptest! {
         };
         // Runs of queries sharing a key, then a return to the first key,
         // so the batched path both reuses and rebuilds its group order.
-        let mut keys: Vec<(Option<usize>, Option<usize>)> = (0..4)
-            .map(|_| {
-                let mac = rng.gen_range(0..=macs);
-                let chan = rng.gen_range(0..=chans);
-                ((mac < macs).then_some(mac), (chan < chans).then_some(chan))
-            })
-            .collect();
-        keys.push(keys[0]);
-        // Half the queries sit on a training row's coordinates, where
-        // distances of exactly 0 occur.
-        let queries: Vec<Vec<f64>> = keys
-            .iter()
-            .flat_map(|&(mac, chan)| (0..3).map(move |_| (mac, chan)))
-            .map(|(mac, chan)| {
-                let at = rng.gen_bool(0.5).then(|| x[rng.gen_range(0..n)].clone());
-                row(&mut rng, at.as_deref(), mac, chan)
-            })
-            .collect();
+        let queries = shape.queries(&mut rng, &x);
         let batch = knn.predict_batch(&FeatureMatrix::from_rows(&queries).unwrap()).unwrap();
         for (q, b) in queries.iter().zip(&batch) {
             let want = oracle(q).to_bits();

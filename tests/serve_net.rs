@@ -578,3 +578,72 @@ fn a_client_that_closes_without_reading_its_replies_leaves_the_daemon_serving() 
         handle.join();
     });
 }
+
+#[test]
+fn a_load_racing_a_shutdown_ends_in_loaded_or_a_disconnect() {
+    with_watchdog(60, || {
+        use std::sync::{Arc, Barrier};
+
+        // 47 × 40 × 26 cells for each of 4 APs: a 1.6 MB load that takes
+        // the daemon milliseconds (optimized) to hundreds of them (debug)
+        // to receive, decode and build, so a shutdown can land inside it.
+        let grids = (0..4u32)
+            .map(|a| {
+                let values = (0..47 * 40 * 26)
+                    .map(|i| -40.0 - f64::from((i + 13 * a) % 50))
+                    .collect();
+                RemGrid::from_parts(
+                    MacAddress::from_index(a + 1),
+                    Aabb::paper_volume(),
+                    (47, 40, 26),
+                    values,
+                )
+                .expect("grid is well-formed")
+            })
+            .collect();
+        let bytes = Arc::new(
+            RemSnapshot::new(grids)
+                .expect("snapshot is non-empty")
+                .to_bytes(),
+        );
+        let small = synthetic_snapshot(1, 0.0);
+        for round in 0..24u32 {
+            let (_daemon, handle, tcp_addr, sock) = start_daemon(ExecPolicy::Serial, &small);
+            let mut loader = WireClient::connect_tcp(&tcp_addr).expect("connect tcp");
+            let mut stopper = WireClient::connect_uds(&sock).expect("connect uds");
+            // One barrier releases both clients; then one waits a gap that
+            // grows quadratically to 30 ms (the loader in odd rounds, the
+            // stopper in even ones), so the shutdown lands before the load
+            // and at points inside it.
+            let gap = Duration::from_micros(u64::from(round / 2).pow(2) * 250);
+            let (load_gap, stop_gap) = if round % 2 == 1 {
+                (gap, Duration::ZERO)
+            } else {
+                (Duration::ZERO, gap)
+            };
+            let barrier = Arc::new(Barrier::new(2));
+            let load = {
+                let (barrier, bytes) = (Arc::clone(&barrier), Arc::clone(&bytes));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    std::thread::sleep(load_gap);
+                    loader.load("default", &bytes)
+                })
+            };
+            barrier.wait();
+            std::thread::sleep(stop_gap);
+            stopper.shutdown().expect("the shutdown gets Bye");
+            match load.join().expect("the loader thread ends") {
+                Ok(info) => assert_eq!(
+                    (info.namespace, info.generation, info.aps, info.cells),
+                    (0, 2, 4, 47 * 40 * 26),
+                    "round {round}"
+                ),
+                // A clean disconnect: the daemon hung up before it replied.
+                Err(ClientError::Disconnected | ClientError::Io(_)) => {}
+                Err(other) => panic!("round {round}: the load got {other}"),
+            }
+            handle.join();
+        }
+    });
+}
