@@ -14,14 +14,13 @@
 //! target the MAC block (mean-per-MAC baseline, per-MAC ensemble, the ×3
 //! scaling trick).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use aerorem_mission::SampleSet;
+use aerorem_mission::{Sample, SampleSet};
 use aerorem_ml::dataset::Dataset;
 use aerorem_ml::preprocess::OneHotEncoder;
 use aerorem_ml::MlError;
 use aerorem_propagation::ap::MacAddress;
-use aerorem_propagation::WifiChannel;
 use aerorem_spatial::Vec3;
 
 use crate::exec::{self, ExecPolicy};
@@ -149,18 +148,6 @@ impl FeatureLayout {
         debug_assert!(ch_enc.is_known(), "channel encoder covers observed channels");
         Ok(())
     }
-
-    /// Encodes a row with an explicit channel — used when rebuilding
-    /// training rows.
-    fn encode_row(&self, position: Vec3, mac: MacAddress, channel: WifiChannel) -> Option<Vec<f64>> {
-        let mac_oh = self.mac_encoder.encode(&mac)?;
-        let ch_oh = self.channel_encoder.encode(&channel.number())?;
-        let mut row = Vec::with_capacity(self.dim());
-        row.extend([position.x, position.y, position.z]);
-        row.extend(mac_oh);
-        row.extend(ch_oh);
-        Some(row)
-    }
 }
 
 /// What preprocessing kept and dropped — the paper reports "2565 retained
@@ -196,10 +183,13 @@ pub fn preprocess(
 
 /// [`preprocess`] with an explicit execution policy.
 ///
-/// Two stages parallelize: the per-MAC channel grouping (each retained MAC
-/// scans the kept samples independently) and the per-sample feature-row
-/// encoding. Both are pure per-item maps reassembled in input order, so
-/// serial and parallel runs produce identical datasets and layouts.
+/// Each step is one pass over the samples: the MAC filter finds each kept
+/// sample's MAC column by a binary search in the retained MACs, one vote
+/// table (MAC column × channel column) picks each MAC's dominant channel,
+/// and each feature row is written into one zeroed allocation. Only the
+/// row encoding, whose allocations cost the most, fans out under `policy`.
+/// Its chunks are reassembled in input order, so serial and parallel runs
+/// produce identical datasets and layouts.
 ///
 /// # Errors
 ///
@@ -210,6 +200,8 @@ pub fn preprocess_with(
     policy: ExecPolicy,
 ) -> Result<(Dataset, FeatureLayout, PreprocessReport), MlError> {
     let counts = samples.counts_per_mac();
+    // Ascending: the MAC encoder's column order, which the binary search
+    // below relies on.
     let retained: Vec<MacAddress> = counts
         .iter()
         .filter(|(_, &n)| n >= config.min_samples_per_mac)
@@ -218,70 +210,66 @@ pub fn preprocess_with(
     if retained.is_empty() {
         return Err(MlError::EmptyTrainingSet);
     }
-    let retained_set: BTreeSet<MacAddress> = retained.iter().copied().collect();
-
-    let kept: Vec<_> = samples
+    // Each kept sample with its MAC column.
+    let kept: Vec<(&Sample, usize)> = samples
         .iter()
-        .filter(|s| retained_set.contains(&s.mac))
+        .filter_map(|s| retained.binary_search(&s.mac).ok().map(|m| (s, m)))
         .collect();
 
-    // Encoders over the retained population.
-    let mac_encoder = OneHotEncoder::fit(kept.iter().map(|s| s.mac));
-    let channel_encoder = OneHotEncoder::fit(kept.iter().map(|s| s.channel.number()));
+    // Channel columns: the kept samples' channel numbers, ascending.
+    let mut seen = [false; 256];
+    for (s, _) in &kept {
+        seen[usize::from(s.channel.number())] = true;
+    }
+    let channels: Vec<u8> = (0..=u8::MAX).filter(|&n| seen[usize::from(n)]).collect();
+    let mut channel_col = [0usize; 256];
+    for (col, &n) in channels.iter().enumerate() {
+        channel_col[usize::from(n)] = col;
+    }
+    let channel_of = |s: &Sample| channel_col[usize::from(s.channel.number())];
 
-    // Dominant channel per MAC (APs beacon on one channel; ties broken by
-    // channel number for determinism). Each MAC is grouped independently.
-    // Each MAC scans all kept samples (O(macs × samples)), so one MAC is
-    // an expensive item: per-item chunks keep the claimer balanced.
-    let mac_pool = exec::ScratchPool::new(|| ());
-    let mac_channels: BTreeMap<MacAddress, u8> = exec::map_vec_with(
-        policy,
-        exec::Granularity::per_item(),
-        &mac_pool,
-        &retained,
-        |(), &mac| {
-            let mut chans: BTreeMap<u8, usize> = BTreeMap::new();
-            for s in kept.iter().filter(|s| s.mac == mac) {
-                *chans.entry(s.channel.number()).or_insert(0) += 1;
-            }
-            let best = chans
-                .into_iter()
-                .max_by_key(|&(ch, n)| (n, std::cmp::Reverse(ch)))
-                .map(|(ch, _)| ch)
-                .expect("retained mac has samples");
-            (mac, best)
-        },
-    )
-    .into_iter()
-    .collect();
+    // Dominant channel per MAC (APs beacon on one channel): the most votes,
+    // ties to the lowest channel number, which is the first such column.
+    let width = channels.len();
+    let mut votes = vec![0usize; retained.len() * width];
+    for &(s, m) in &kept {
+        votes[m * width + channel_of(s)] += 1;
+    }
+    let mac_channels: BTreeMap<MacAddress, u8> = retained
+        .iter()
+        .zip(votes.chunks_exact(width))
+        .map(|(&mac, row)| {
+            let best = (0..width).fold(0, |best, c| if row[c] > row[best] { c } else { best });
+            (mac, channels[best])
+        })
+        .collect();
 
     let layout = FeatureLayout {
-        mac_encoder,
-        channel_encoder,
+        mac_encoder: OneHotEncoder::fit(retained.iter().copied()),
+        channel_encoder: OneHotEncoder::fit(channels),
         mac_channels,
     };
 
-    // Per-sample feature rows: independent, order-preserving. Encoding one
-    // row is cheap, so rows-scale chunks amortize the executor overhead.
-    let row_pool = exec::ScratchPool::new(|| ());
+    // Per-sample feature rows `[x, y, z | MAC one-hot | channel one-hot]`.
+    let (dim, mac_start, channel_start) = (
+        layout.dim(),
+        layout.mac_range().start,
+        layout.channel_range().start,
+    );
     let rows = exec::map_vec_with(
         policy,
         exec::Granularity::rows(),
-        &row_pool,
+        &exec::ScratchPool::new(|| ()),
         &kept,
-        |(), s| {
-            let row = layout
-                .encode_row(s.position, s.mac, s.channel)
-                .expect("retained samples encode");
+        |(), &(s, m)| {
+            let mut row = vec![0.0; dim];
+            row[..3].copy_from_slice(&[s.position.x, s.position.y, s.position.z]);
+            row[mac_start + m] = 1.0;
+            row[channel_start + channel_of(s)] = 1.0;
             (row, f64::from(s.rssi_dbm))
         },
     );
-    let mut x = Vec::with_capacity(rows.len());
-    let mut y = Vec::with_capacity(rows.len());
-    for (row, target) in rows {
-        x.push(row);
-        y.push(target);
-    }
+    let (x, y) = rows.into_iter().unzip();
     let report = PreprocessReport {
         total_samples: samples.len(),
         retained_samples: kept.len(),
@@ -297,8 +285,13 @@ mod tests {
     use super::*;
     use aerorem_mission::Sample;
     use aerorem_propagation::ap::Ssid;
+    use aerorem_propagation::WifiChannel;
     use aerorem_simkit::SimTime;
     use aerorem_uav::UavId;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn sample(mac: u32, channel: u8, rssi: i32, pos: Vec3) -> Sample {
         Sample {
@@ -416,6 +409,143 @@ mod tests {
             preprocess(&set, &PreprocessConfig::paper()).err(),
             Some(MlError::EmptyTrainingSet)
         );
+    }
+
+    /// The reference algorithm: each retained MAC scans the kept samples
+    /// for its channel votes, and each row concatenates the coordinates
+    /// with [`OneHotEncoder::encode`] of its MAC and channel.
+    fn reference(
+        samples: &SampleSet,
+        config: &PreprocessConfig,
+    ) -> Result<(Dataset, FeatureLayout, PreprocessReport), MlError> {
+        let counts = samples.counts_per_mac();
+        let retained: Vec<MacAddress> = counts
+            .iter()
+            .filter(|(_, &n)| n >= config.min_samples_per_mac)
+            .map(|(&m, _)| m)
+            .collect();
+        if retained.is_empty() {
+            return Err(MlError::EmptyTrainingSet);
+        }
+        let kept: Vec<&Sample> = samples
+            .iter()
+            .filter(|s| retained.contains(&s.mac))
+            .collect();
+        let mac_channels = retained
+            .iter()
+            .map(|&mac| {
+                let mut chans: BTreeMap<u8, usize> = BTreeMap::new();
+                for s in kept.iter().filter(|s| s.mac == mac) {
+                    *chans.entry(s.channel.number()).or_insert(0) += 1;
+                }
+                let best = chans
+                    .into_iter()
+                    .max_by_key(|&(ch, n)| (n, std::cmp::Reverse(ch)))
+                    .map(|(ch, _)| ch)
+                    .expect("retained mac has samples");
+                (mac, best)
+            })
+            .collect();
+        let layout = FeatureLayout {
+            mac_encoder: OneHotEncoder::fit(kept.iter().map(|s| s.mac)),
+            channel_encoder: OneHotEncoder::fit(kept.iter().map(|s| s.channel.number())),
+            mac_channels,
+        };
+        let (x, y) = kept
+            .iter()
+            .map(|s| {
+                let mut row = vec![s.position.x, s.position.y, s.position.z];
+                row.extend(layout.mac_encoder.encode(&s.mac).expect("retained"));
+                row.extend(
+                    layout
+                        .channel_encoder
+                        .encode(&s.channel.number())
+                        .expect("kept"),
+                );
+                (row, f64::from(s.rssi_dbm))
+            })
+            .unzip();
+        let report = PreprocessReport {
+            total_samples: samples.len(),
+            retained_samples: kept.len(),
+            dropped_samples: samples.len() - kept.len(),
+            total_macs: counts.len(),
+            retained_macs: retained.len(),
+        };
+        Ok((Dataset::new(x, y)?, layout, report))
+    }
+
+    /// A shuffled survey: each MAC has a channel list and either exactly
+    /// 16, 15 or 1 samples spread evenly over it (ties when the count
+    /// divides), or the listed vote counts.
+    fn survey(macs: &[(usize, Vec<(u8, usize)>)], channels: u8, seed: u64) -> SampleSet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ids: Vec<u32> = (0..200).collect();
+        ids.shuffle(&mut rng);
+        let mut draws = Vec::new();
+        for ((kind, votes), &id) in macs.iter().zip(&ids) {
+            let chans: Vec<u8> = votes.iter().map(|&(c, _)| (c - 1) % channels + 1).collect();
+            match [16, 15, 1].get(*kind) {
+                Some(&total) => {
+                    for i in 0..total {
+                        draws.push((id, chans[i % chans.len()]));
+                    }
+                }
+                None => {
+                    for (&c, &(_, n)) in chans.iter().zip(votes) {
+                        draws.extend(std::iter::repeat_n((id, c), n));
+                    }
+                }
+            }
+        }
+        draws.shuffle(&mut rng);
+        let mut set = SampleSet::new();
+        for (id, c) in draws {
+            let pos = Vec3::new(
+                rng.gen_range(-5.0..5.0),
+                rng.gen_range(-5.0..5.0),
+                rng.gen_range(0.0..3.0),
+            );
+            set.push(sample(id, c, rng.gen_range(-95..-30), pos));
+        }
+        set
+    }
+
+    proptest! {
+        #[test]
+        fn preprocessing_matches_the_per_mac_reference(
+            macs in prop::collection::vec(
+                (0usize..4, prop::collection::vec((1u8..=13, 1usize..=5), 1..=3)),
+                1..=40,
+            ),
+            channels in 1u8..=13,
+            seed in any::<u64>(),
+        ) {
+            let set = survey(&macs, channels, seed);
+            for min_samples_per_mac in [0, 1, 16] {
+                let config = PreprocessConfig { min_samples_per_mac };
+                let want = reference(&set, &config);
+                for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
+                    let got = preprocess_with(&set, &config, policy);
+                    match (&got, &want) {
+                        (Ok((gd, gl, gr)), Ok((wd, wl, wr))) => {
+                            let bits = |d: &Dataset| {
+                                let x: Vec<Vec<u64>> = d
+                                    .x
+                                    .iter()
+                                    .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                                    .collect();
+                                (x, d.y.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                            };
+                            prop_assert_eq!(bits(gd), bits(wd));
+                            prop_assert_eq!(gl, wl);
+                            prop_assert_eq!(gr, wr);
+                        }
+                        _ => prop_assert_eq!(got.as_ref().err(), want.as_ref().err()),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,12 @@
 //! 80 columns, of which only the coordinates take more than two values.
 //! At build time a column is a **key** column when every row's value is 0
 //! or one shared value (a one-hot column, scaled or not, or a constant
-//! one) and a **tree** column otherwise. Rows with 1 to `KDTREE_MAX_DIM`
-//! (8) tree columns are grouped by their key values, and each group gets a
+//! one) and a **tree** column otherwise. The build reads the rows once, in
+//! row-major order: it records each row's non-zero columns as bits and
+//! each column's least and greatest non-zero value, and a column whose two
+//! are equal, or which has none, is a key column. Rows with 1 to
+//! `KDTREE_MAX_DIM` (8) tree columns are grouped by their non-zero key
+//! columns, their bits without the tree columns, and each group gets a
 //! KD-tree over its tree columns. A query visits groups in ascending key
 //! offset — the squared distance between its key columns and the group's,
 //! which every row of the group shares — and stops at the first group
@@ -77,11 +81,12 @@
 //! bit-identical per point to the scalar [`sq_euclidean`].
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use aerorem_numerics::kernels::{sq_euclidean, sq_euclidean_cols_into};
 
-use crate::FeatureMatrix;
+use crate::{FeatureMatrix, MlError};
 
 /// Sentinel child index meaning "no child" and, in a node's `axis` field,
 /// "this node is a leaf".
@@ -474,30 +479,68 @@ impl NeighborIndex {
     ///
     /// # Panics
     ///
-    /// The rows must be finite: a NaN may panic the build. kNN, IDW and
-    /// kriging check their rows first and return
-    /// [`MlError::NonFiniteFeature`](crate::MlError::NonFiniteFeature).
+    /// Panics if a row holds a NaN or infinite value. kNN, IDW and kriging
+    /// build through a path that returns
+    /// [`MlError::NonFiniteFeature`] instead.
     pub fn new(rows: FeatureMatrix) -> NeighborIndex {
+        match NeighborIndex::try_new(rows) {
+            Ok(index) => index,
+            Err(e) => panic!("NeighborIndex::new: {e}"),
+        }
+    }
+
+    /// [`NeighborIndex::new`] for rows that may not be finite.
+    ///
+    /// One row-major pass reads every value once. It records each row's
+    /// non-zero columns as bits and each column's least and greatest
+    /// non-zero value; a column is a key column when those two are equal
+    /// or there is none. A NaN or an infinity is non-zero, so the same
+    /// pass finds it.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::NonFiniteFeature`] for the first NaN or infinite value in
+    /// row-major order.
+    pub(crate) fn try_new(rows: FeatureMatrix) -> Result<NeighborIndex, MlError> {
         let id = NEXT_INDEX_ID.fetch_add(1, AtomicOrdering::Relaxed);
         let dim = rows.dim();
-        // One row-major pass: column c is a key column while every value
-        // seen is 0 or the first non-zero value seen.
-        let mut shared: Vec<Option<f64>> = vec![None; dim];
-        let mut is_key = vec![true; dim];
-        for row in rows.iter() {
-            for ((&v, first), key) in row.iter().zip(&mut shared).zip(&mut is_key) {
-                if v != 0.0 && *first.get_or_insert(v) != v {
-                    *key = false;
+        let words = dim.div_ceil(64);
+        let mut masks = vec![0u64; rows.rows() * words];
+        let mut lo = vec![f64::INFINITY; dim];
+        let mut hi = vec![f64::NEG_INFINITY; dim];
+        for (r, (row, mask)) in rows.iter().zip(masks.chunks_exact_mut(words)).enumerate() {
+            for (word, values) in mask.iter_mut().zip(row.chunks(64)) {
+                *word = values
+                    .iter()
+                    .enumerate()
+                    .fold(0, |w, (i, &v)| w | u64::from(v != 0.0) << i);
+            }
+            for (base, &word) in (0..).step_by(64).zip(mask.iter()) {
+                let mut bits = word;
+                while bits != 0 {
+                    let c = base + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let v = row[c];
+                    if !v.is_finite() {
+                        return Err(MlError::NonFiniteFeature {
+                            row: Some(r),
+                            column: c,
+                        });
+                    }
+                    lo[c] = lo[c].min(v);
+                    hi[c] = hi[c].max(v);
                 }
             }
         }
-        let (key_cols, tree_cols): (Vec<usize>, Vec<usize>) = (0..dim).partition(|&c| is_key[c]);
+        // `lo > hi` when the column has no non-zero value.
+        let (key_cols, tree_cols): (Vec<usize>, Vec<usize>) =
+            (0..dim).partition(|&c| lo[c] >= hi[c]);
         let grouped = (!tree_cols.is_empty()
             && tree_cols.len() <= KDTREE_MAX_DIM
             && dim <= MAX_PROBE_DIM
             && rows.rows() < u32::MAX as usize)
-            .then(|| Grouped::build(&rows, key_cols, tree_cols));
-        NeighborIndex { rows, id, grouped }
+            .then(|| Grouped::build(&rows, masks, key_cols, tree_cols));
+        Ok(NeighborIndex { rows, id, grouped })
     }
 
     /// The indexed rows, in insertion order: row ids index into them.
@@ -518,10 +561,9 @@ impl NeighborIndex {
     /// # Panics
     ///
     /// Panics if `query.len()` differs from the rows' dimension. The query
-    /// must be finite, like the rows: a NaN, or an infinity facing another
-    /// in the same column, makes a distance NaN, which panics the ranking.
-    /// kNN, IDW and kriging check each query first and return
-    /// [`MlError::NonFiniteFeature`](crate::MlError::NonFiniteFeature).
+    /// must be finite, like the rows: a NaN makes a distance NaN, which
+    /// panics the ranking. kNN, IDW and kriging check each query first and
+    /// return [`MlError::NonFiniteFeature`].
     pub fn nearest_into(
         &self,
         query: &[f64],
@@ -541,33 +583,66 @@ impl NeighborIndex {
 }
 
 impl Grouped {
-    fn build(rows: &FeatureMatrix, key_cols: Vec<usize>, tree_cols: Vec<usize>) -> Self {
+    /// Groups the rows by key and builds each group's tree. `masks` holds
+    /// each row's non-zero columns, `dim.div_ceil(64)` bit words a row.
+    fn build(
+        rows: &FeatureMatrix,
+        mut masks: Vec<u64>,
+        key_cols: Vec<usize>,
+        tree_cols: Vec<usize>,
+    ) -> Self {
         // A key value is 0 or the column's shared value, so a row's key is
-        // the set of key columns it sets, packed into bit words (±0 give
-        // the same distance terms, so they are one key value).
-        let words = key_cols.len() / 64 + 1;
-        let (flat, dim) = (rows.as_slice(), rows.dim());
-        let mut bits = vec![0u64; rows.rows() * words];
-        for (row, key) in rows.iter().zip(bits.chunks_exact_mut(words)) {
-            for (j, &c) in key_cols.iter().enumerate() {
-                key[j / 64] |= u64::from(row[c] != 0.0) << (j % 64);
+        // its non-zero key columns (±0 give the same distance terms, so
+        // they are one key value): its mask without the tree columns.
+        let words = rows.dim().div_ceil(64);
+        let mut tree_bits = vec![0u64; words];
+        for &c in &tree_cols {
+            tree_bits[c / 64] |= 1 << (c % 64);
+        }
+        for mask in masks.chunks_exact_mut(words) {
+            for (word, tree) in mask.iter_mut().zip(&tree_bits) {
+                *word &= !tree;
             }
         }
-        let key_of = |r: usize| &bits[r * words..(r + 1) * words];
-        // Stable: rows stay in ascending order within their group.
-        let mut order: Vec<usize> = (0..rows.rows()).collect();
-        order.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
-        let groups = order
-            .chunk_by(|&a, &b| key_of(a) == key_of(b))
-            .map(|ids| {
-                let points: Vec<f64> = ids
-                    .iter()
-                    .flat_map(|&r| tree_cols.iter().map(move |&c| flat[r * dim + c]))
-                    .collect();
-                let rows: Vec<u32> = ids.iter().map(|&r| r as u32).collect();
+        // Groups are numbered in the order of their first rows.
+        let mut group_ids: BTreeMap<&[u64], usize> = BTreeMap::new();
+        let group_of: Vec<usize> = masks
+            .chunks_exact(words)
+            .map(|key| {
+                let next = group_ids.len();
+                *group_ids.entry(key).or_insert(next)
+            })
+            .collect();
+        // Group g takes slots starts[g]..starts[g + 1]. One pass over the
+        // rows fills them in ascending row order, with each row's tree
+        // columns.
+        let mut starts = vec![0; group_ids.len() + 1];
+        for &g in &group_of {
+            starts[g + 1] += 1;
+        }
+        for g in 0..group_ids.len() {
+            starts[g + 1] += starts[g];
+        }
+        let t = tree_cols.len();
+        let mut next = starts.clone();
+        let mut order = vec![0u32; rows.rows()];
+        let mut points = vec![0.0; rows.rows() * t];
+        for (r, (row, &g)) in rows.iter().zip(&group_of).enumerate() {
+            let slot = next[g];
+            next[g] += 1;
+            order[slot] = r as u32;
+            for (p, &c) in points[slot * t..(slot + 1) * t].iter_mut().zip(&tree_cols) {
+                *p = row[c];
+            }
+        }
+        let groups = starts
+            .windows(2)
+            .map(|slots| {
+                let (from, to) = (slots[0], slots[1]);
+                let first = rows.row(order[from] as usize);
                 Group {
-                    key: key_cols.iter().map(|&c| flat[ids[0] * dim + c]).collect(),
-                    tree: KdTree::build_flat(&points, tree_cols.len(), &rows)
+                    key: key_cols.iter().map(|&c| first[c]).collect(),
+                    tree: KdTree::build_flat(&points[from * t..to * t], t, &order[from..to])
                         .expect("a group holds at least one row"),
                 }
             })
@@ -639,12 +714,13 @@ impl Grouped {
 }
 
 /// Recursive arena build over a slot range. Ranges of up to [`LEAF_SIZE`]
-/// points become leaves; larger ranges stable-sort their index subslice
-/// along the chosen axis and split at the upper median, so slots
-/// `[lo, lo+mid)` hold coordinates `<=` the split value and the rest hold
-/// `>=` — which is what makes `|query[axis] - split|` a valid far-side
-/// distance bound even with duplicate coordinates. The final permutation of
-/// `indices` is the slot order. Nodes are stored pre-order.
+/// points become leaves; larger ranges select the upper median of their
+/// index subslice along the chosen axis (`select_nth_unstable_by`, no
+/// sort) and split there, so slots `[lo, lo+mid)` hold coordinates `<=`
+/// the split value and the rest hold `>=` — which is what makes
+/// `|query[axis] - split|` a valid far-side distance bound even with
+/// duplicate coordinates. The final permutation of `indices` is the slot
+/// order. Nodes are stored pre-order.
 ///
 /// The split axis is the one with the **largest coordinate spread** in the
 /// node's point subset (ties to the lowest axis), not a round-robin of
@@ -692,13 +768,11 @@ fn build_arena(
             axis = d;
         }
     }
-    indices.sort_by(|&a, &b| {
-        data[a * dim + axis]
-            .partial_cmp(&data[b * dim + axis])
-            .expect("finite coordinates")
-    });
     let mid = indices.len() / 2;
-    let split = data[indices[mid] * dim + axis];
+    let (_, &mut median, _) = indices.select_nth_unstable_by(mid, |&a, &b| {
+        data[a * dim + axis].total_cmp(&data[b * dim + axis])
+    });
+    let split = data[median * dim + axis];
     nodes.push(Node {
         axis: axis as u32,
         split,
@@ -838,6 +912,150 @@ mod tests {
         // No tree column: every column is two-valued, or there is one row.
         assert!(!index(&[vec![0.0, 1.0], vec![2.0, 0.0]]).uses_trees());
         assert!(!index(&[vec![1.0, 2.0, 3.0]]).uses_trees());
+    }
+
+    /// Checks the index's key columns and groups against the rule stated
+    /// directly — a column is a key column when its non-zero values are
+    /// one shared value or none, and rows share a group when they set the
+    /// same key columns, a `-0.0` counting as unset — and returns the key
+    /// columns.
+    fn assert_grouping_follows_the_rule(rows: &[Vec<f64>]) -> Vec<usize> {
+        let dim = rows[0].len();
+        let key_cols: Vec<usize> = (0..dim)
+            .filter(|&c| {
+                let mut values = rows.iter().map(|r| r[c]).filter(|&v| v != 0.0);
+                let first = values.next();
+                values.all(|v| Some(v) == first)
+            })
+            .collect();
+        let tree_cols: Vec<usize> = (0..dim).filter(|c| !key_cols.contains(c)).collect();
+        let idx = index(rows);
+        let grouped = idx.grouped.as_ref().expect("1 to 8 tree columns");
+        assert_eq!(grouped.key_cols, key_cols);
+        assert_eq!(grouped.tree_cols, tree_cols);
+        let key = |r: usize| -> Vec<bool> { key_cols.iter().map(|&c| rows[r][c] != 0.0).collect() };
+        let mut grouped_rows = 0;
+        for group in &grouped.groups {
+            let mut members: Vec<usize> =
+                group.tree.slot_to_row.iter().map(|&r| r as usize).collect();
+            members.sort_unstable();
+            let same_key: Vec<usize> = (0..rows.len())
+                .filter(|&r| key(r) == key(members[0]))
+                .collect();
+            assert_eq!(members, same_key);
+            for (&c, &v) in key_cols.iter().zip(&group.key) {
+                assert!(members.iter().all(|&r| rows[r][c] == v), "column {c}");
+            }
+            grouped_rows += members.len();
+        }
+        assert_eq!(grouped_rows, rows.len());
+        key_cols
+    }
+
+    #[test]
+    fn key_columns_and_groups_follow_the_rule() {
+        let mut rng = StdRng::seed_from_u64(0x6B3);
+        let tiny = f64::from_bits(1);
+        let rows: Vec<Vec<f64>> = (0..60)
+            .map(|i| {
+                let zero = if i % 2 == 0 { 0.0 } else { -0.0 };
+                let pick = |n: usize, hot: &[(usize, f64)]| {
+                    hot.iter()
+                        .find(|&&(m, _)| i % n == m)
+                        .map_or(zero, |&(_, v)| v)
+                };
+                vec![
+                    if i % 4 == 3 {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..4.0)
+                    },
+                    rng.gen_range(0.0..4.0),
+                    zero,
+                    pick(3, &[(0, 3.0)]),
+                    pick(3, &[(1, 3.0)]),
+                    7.5,
+                    pick(60, &[(17, -2.0)]),
+                    pick(4, &[(0, 1.0), (1, 2.0)]),
+                    pick(5, &[(0, tiny)]),
+                    pick(5, &[(1, tiny), (2, 2.0 * tiny)]),
+                ]
+            })
+            .collect();
+        // Key: ±0 only (2), one-hot ×3 with ±0 between (3, 4), constant
+        // (5), one non-zero row (6), one subnormal value (8). Tree: the
+        // coordinates, one with zeros (0), two values (7), two subnormal
+        // values (9). A zero in a tree column must not split a group.
+        let key_cols = assert_grouping_follows_the_rule(&rows);
+        assert_eq!(key_cols, vec![2, 3, 4, 5, 6, 8]);
+    }
+
+    #[test]
+    fn keys_beyond_one_bit_word_follow_the_rule() {
+        // Three tree columns, the last after the key columns and sometimes
+        // zero, around 64 columns in all: the paper's rows have 57 to 69
+        // key columns.
+        let mut rng = StdRng::seed_from_u64(0x640);
+        for keys in [60, 61, 62, 64, 65, 126] {
+            let rows: Vec<Vec<f64>> = (0..200)
+                .map(|i| {
+                    let mut r = vec![rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)];
+                    let hot = [i % keys, (i * 7 + keys - 1) % keys];
+                    r.extend((0..keys).map(|j| if hot.contains(&j) { 3.0 } else { 0.0 }));
+                    r.push(if i % 3 == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..4.0)
+                    });
+                    r
+                })
+                .collect();
+            let key_cols = assert_grouping_follows_the_rule(&rows);
+            assert_eq!(key_cols, (2..2 + keys).collect::<Vec<_>>(), "{keys} keys");
+        }
+    }
+
+    /// Rows `[x, y | one-hot ×68]` with a NaN in a key column of the
+    /// second bit word, an infinity in a tree column and one more NaN.
+    fn rows_with_non_finite_values() -> Vec<Vec<f64>> {
+        let mut rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                let mut r = vec![i as f64, (i * i % 7) as f64];
+                r.extend((0..68).map(|j| f64::from(u8::from(j == i % 68))));
+                r
+            })
+            .collect();
+        rows[9][66] = f64::NAN;
+        rows[12][0] = f64::NEG_INFINITY;
+        rows[30][5] = f64::NAN;
+        rows
+    }
+
+    #[test]
+    fn the_build_reports_the_first_non_finite_value_in_row_major_order() {
+        let mut rows = rows_with_non_finite_values();
+        let build = |rows: &[Vec<f64>]| {
+            NeighborIndex::try_new(FeatureMatrix::from_rows(rows).unwrap()).err()
+        };
+        let at = |row, column| {
+            Some(MlError::NonFiniteFeature {
+                row: Some(row),
+                column,
+            })
+        };
+        assert_eq!(build(&rows), at(9, 66));
+        rows[9][66] = 0.0;
+        assert_eq!(build(&rows), at(12, 0));
+        rows[12][0] = 1.0;
+        assert_eq!(build(&rows), at(30, 5));
+        rows[30][5] = 0.0;
+        assert!(build(&rows).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite feature in training row 9, column 66")]
+    fn new_panics_on_a_non_finite_row() {
+        index(&rows_with_non_finite_values());
     }
 
     #[test]

@@ -246,14 +246,17 @@ impl KnnRegressor {
     /// `fit` and `fit_batch` end here, so the two are bit-identical by
     /// construction.
     fn fit_rows(&mut self, rows: FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
-        finite_rows(&rows)?;
-        self.y = y.to_vec();
-        self.dim = Some(rows.dim());
-        self.fitted = Some(if self.is_euclidean() {
-            Fitted::Index(NeighborIndex::new(rows))
+        let dim = rows.dim();
+        // The index build checks finiteness in its own pass over the rows.
+        let fitted = if self.is_euclidean() {
+            Fitted::Index(NeighborIndex::try_new(rows)?)
         } else {
+            finite_rows(&rows)?;
             Fitted::Minkowski { data: rows }
-        });
+        };
+        self.y = y.to_vec();
+        self.dim = Some(dim);
+        self.fitted = Some(fitted);
         Ok(())
     }
 

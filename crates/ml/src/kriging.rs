@@ -17,9 +17,7 @@ use aerorem_numerics::kernels::sq_euclidean;
 use aerorem_numerics::{LuFactors, Matrix};
 
 use crate::kdtree::{IndexScratch, NeighborIndex};
-use crate::{
-    finite_row, finite_rows, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor,
-};
+use crate::{finite_row, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
 
 /// Parametric semivariogram families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -694,7 +692,10 @@ impl OrdinaryKriging {
         if xm.rows() < 2 {
             return Err(MlError::EmptyTrainingSet);
         }
-        finite_rows(&xm)?;
+        // The neighbour index owns the single copy of the training rows,
+        // and its build checks that they are finite.
+        let index = NeighborIndex::try_new(xm)?;
+        let xm = index.rows();
         // Max lag: half the data diameter (standard practice).
         let probe = xm.rows().min(200);
         let mut max_lag = 0.0f64;
@@ -708,18 +709,17 @@ impl OrdinaryKriging {
         // window empty, so fall back to the full diameter.
         let policy = ExecPolicy::default();
         let mut bins = empirical_variogram_matrix(
-            &xm,
+            xm,
             y,
             self.config.n_bins,
             (max_lag / 2.0).max(1e-6),
             policy,
         )?;
         if bins.is_empty() {
-            bins = empirical_variogram_matrix(&xm, y, self.config.n_bins, max_lag * 1.01, policy)?;
+            bins = empirical_variogram_matrix(xm, y, self.config.n_bins, max_lag * 1.01, policy)?;
         }
         self.variogram = Some(fit_variogram_with(&bins, self.config.variogram, policy)?);
-        // The neighbour index owns the single copy of the training rows.
-        self.index = Some(NeighborIndex::new(xm));
+        self.index = Some(index);
         self.y = y.to_vec();
         Ok(())
     }

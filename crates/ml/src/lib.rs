@@ -218,8 +218,8 @@ pub(crate) fn validate_matrix_y(xs: &FeatureMatrix, y: &[f64]) -> Result<usize, 
     Ok(xs.dim())
 }
 
-/// Checks that every training row is finite, the precondition of
-/// [`kdtree::NeighborIndex`].
+/// Checks that every training row is finite, for fits that rank their
+/// rows without [`kdtree::NeighborIndex`], whose build checks its own.
 ///
 /// # Errors
 ///
