@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the full gate run in CI and
 # before every commit; the individual targets exist for quicker loops.
 
-.PHONY: check build lint lint-diff test doc clippy bench-build perfbench-check bench-check bench bench-diff timing faults faults-check serve-check serve-net-check
+.PHONY: check build lint lint-diff test doc clippy bench-build perfbench-check bench-check bench bench-diff timing faults faults-check serve-check serve-net-check examples-check
 
-check: build lint lint-diff test doc clippy bench-build perfbench-check bench-check faults-check serve-check serve-net-check
+check: build lint lint-diff test doc clippy bench-build perfbench-check bench-check faults-check serve-check serve-net-check examples-check
 
 build:
 	cargo build --release
@@ -74,6 +74,12 @@ serve-net-check:
 	cargo test -q --test wire --test serve_net
 	AEROREM_EXEC_THREADS=1 cargo test -q --test wire --test serve_net
 	AEROREM_BENCH_SMOKE=1 cargo bench -q -p aerorem-bench --bench wire
+
+# The examples must run, not only compile (`cargo test` builds them):
+# the quickstart pipeline and the Figure-8 model bake-off with grid search.
+examples-check:
+	cargo run --release -q --example quickstart
+	cargo run --release -q --example model_comparison
 
 # Regenerates the committed bench artifacts at full size: BENCH_2.json
 # (lattice fill), BENCH_3.json (training + campaign + serving),

@@ -4,10 +4,13 @@
 //! The "baseline" arms reproduce the pre-PR implementations inline: a
 //! deep-copying `train_test_split`, row-nested `fit`, a per-row
 //! `predict_one` scoring loop, per-fold dataset copies, and the naive
-//! O(n²) nested-row variogram pair loop. The "serial"/"parallel" arms run
-//! the shipped `grid_search_with` / `cross_validate_with` /
-//! `empirical_variogram_matrix` paths, which train through borrowed
-//! `DatasetView`s and the batched `fit_batch`/`predict_batch` contract.
+//! O(n²) nested-row variogram pair loop. Their row-nested `fit` is the
+//! trait's provided method, which copies the rows into a `FeatureMatrix`
+//! and calls `fit_batch`: one row copy more than the code it reproduces.
+//! The "serial"/"parallel" arms run the shipped `grid_search_with` /
+//! `cross_validate_with` / `empirical_variogram_matrix` paths, which copy
+//! each split or fold once with `Dataset::gather` and train and score
+//! through the batched `fit_batch`/`predict_batch` contract.
 //! Every arm is asserted **bit-identical** to the baseline before any
 //! number is written, then the timing table lands in the `train_select`
 //! section of `BENCH_3.json` at the repository root.

@@ -147,12 +147,12 @@ pub fn evaluate_all<R: Rng>(
 /// threads with results identical to the serial path (scores come back in
 /// `kinds` order either way).
 ///
-/// The split is taken as borrowed [`aerorem_ml::dataset::DatasetView`]s and
-/// materialised once into contiguous train/test [`FeatureMatrix`] pairs
-/// shared by every model — no per-model deep copies. Models train through
+/// The split is drawn by [`Dataset::split_indices`] and copied once by
+/// [`Dataset::gather`] into contiguous train/test [`FeatureMatrix`] pairs
+/// shared by every model — no per-model copies. Models train through
 /// [`Regressor::fit_batch`] and score through [`Regressor::predict_batch`],
-/// the same batched hot path the REM lattice fill uses; both are
-/// contractually bit-identical to the row-at-a-time forms.
+/// the same batched path the REM lattice fill uses; predictions are
+/// contractually bit-identical to [`Regressor::predict_one`]'s.
 ///
 /// # Errors
 ///
@@ -164,9 +164,9 @@ pub fn evaluate_all_with<R: Rng>(
     rng: &mut R,
     policy: ExecPolicy,
 ) -> Result<Vec<ModelScore>, MlError> {
-    let (train_view, test_view) = data.split_views(0.75, rng)?;
-    let (train_x, train_y) = train_view.to_matrix();
-    let (test_x, test_y) = test_view.to_matrix();
+    let (train_idx, test_idx) = data.split_indices(0.75, rng)?;
+    let (train_x, train_y) = data.gather(&train_idx);
+    let (test_x, test_y) = data.gather(&test_idx);
     // One model = one chunk: each fit dwarfs the executor's bookkeeping,
     // and per-item chunks balance the zoo's wildly uneven model costs.
     let pool = exec::ScratchPool::new(|| ());
@@ -263,6 +263,48 @@ mod tests {
                 "{k} ({}) should beat baseline ({baseline})",
                 rmse_of(k)
             );
+        }
+    }
+
+    #[test]
+    fn every_model_rejects_malformed_rows_the_same_way() {
+        let (data, layout) = world();
+        let dim = data.dim();
+        let row = data.x[0].clone();
+        let short = row[..dim - 1].to_vec();
+        let cases = [
+            (vec![], vec![], MlError::EmptyTrainingSet),
+            (
+                vec![row.clone(), row.clone()],
+                vec![-70.0],
+                MlError::LengthMismatch {
+                    rows: 2,
+                    targets: 1,
+                },
+            ),
+            (
+                vec![row.clone(), short],
+                vec![-70.0, -71.0],
+                MlError::DimensionMismatch {
+                    expected: dim,
+                    found: dim - 1,
+                },
+            ),
+            (
+                vec![vec![], vec![]],
+                vec![-70.0, -71.0],
+                MlError::DimensionMismatch {
+                    expected: 1,
+                    found: 0,
+                },
+            ),
+        ];
+        for kind in ModelKind::ALL {
+            for (x, y, want) in &cases {
+                let mut model = kind.build(&layout).unwrap();
+                assert_eq!(model.fit(x, y).as_ref(), Err(want), "{kind}");
+                assert_eq!(model.predict_one(&row), Err(MlError::NotFitted), "{kind}");
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{validate_matrix_y, FeatureMatrix, MlError, Regressor};
 
 /// Predicts the global training mean for every input.
 #[derive(Debug, Clone, Default)]
@@ -24,12 +24,6 @@ impl GlobalMean {
 }
 
 impl Regressor for GlobalMean {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
-        self.dim = validate_xy(x, y)?;
-        self.mean = Some(y.iter().sum::<f64>() / y.len() as f64);
-        Ok(())
-    }
-
     fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
         self.dim = validate_matrix_y(xs, y)?;
         self.mean = Some(y.iter().sum::<f64>() / y.len() as f64);
@@ -105,61 +99,57 @@ impl GroupMeanBaseline {
         })
     }
 
-    fn group_of(&self, row: &[f64]) -> usize {
-        let slice = &row[self.group_range.clone()];
-        slice
+    /// The group key of training row `row` (`None` for a query): the index
+    /// of the greatest value in the group block, the last on ties.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::NonFiniteFeature`], with the column in the full row, when
+    /// the group block holds a NaN or infinite value, which no argmax can
+    /// rank.
+    fn group_of(&self, row: Option<usize>, values: &[f64]) -> Result<usize, MlError> {
+        let block = &values[self.group_range.clone()];
+        if let Some(column) = block.iter().position(|v| !v.is_finite()) {
+            return Err(MlError::NonFiniteFeature {
+                row,
+                column: self.group_range.start + column,
+            });
+        }
+        Ok(block
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite features"))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+            .map_or(0, |(i, _)| i))
     }
 
     /// Number of groups seen in training.
     pub fn group_count(&self) -> usize {
         self.group_means.len()
     }
+}
 
-    /// Shared fitting core: both [`Regressor::fit`] and
-    /// [`Regressor::fit_batch`] run this exact accumulation (same row
-    /// order), so the two entry points leave identical state behind.
-    fn fit_rows<'r>(
-        &mut self,
-        rows: impl Iterator<Item = &'r [f64]>,
-        y: &[f64],
-        dim: usize,
-    ) -> Result<(), MlError> {
+impl Regressor for GroupMeanBaseline {
+    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
+        let dim = validate_matrix_y(xs, y)?;
         if self.group_range.end > dim {
             return Err(MlError::DimensionMismatch {
                 expected: self.group_range.end,
                 found: dim,
             });
         }
-        self.dim = dim;
         let mut sums: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        for (row, &t) in rows.zip(y) {
-            let e = sums.entry(self.group_of(row)).or_insert((0.0, 0));
+        for (i, (row, &t)) in xs.iter().zip(y).enumerate() {
+            let e = sums.entry(self.group_of(Some(i), row)?).or_insert((0.0, 0));
             e.0 += t;
             e.1 += 1;
         }
+        self.dim = dim;
         self.group_means = sums
             .into_iter()
             .map(|(g, (sum, n))| (g, sum / n as f64))
             .collect();
         self.global_mean = Some(y.iter().sum::<f64>() / y.len() as f64);
         Ok(())
-    }
-}
-
-impl Regressor for GroupMeanBaseline {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
-        let dim = validate_xy(x, y)?;
-        self.fit_rows(x.iter().map(Vec::as_slice), y, dim)
-    }
-
-    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
-        let dim = validate_matrix_y(xs, y)?;
-        self.fit_rows(xs.iter(), y, dim)
     }
 
     fn predict_one(&self, x: &[f64]) -> Result<f64, MlError> {
@@ -172,7 +162,7 @@ impl Regressor for GroupMeanBaseline {
         }
         Ok(self
             .group_means
-            .get(&self.group_of(x))
+            .get(&self.group_of(None, x)?)
             .copied()
             .unwrap_or(global))
     }
@@ -216,6 +206,51 @@ mod tests {
         assert_eq!(b.predict_one(&[1.0, 0.0, 0.0]).unwrap(), -75.0);
         assert_eq!(b.predict_one(&[0.0, 1.0, 0.0]).unwrap(), -60.0);
         assert_eq!(b.predict_one(&[0.0, 0.0, 1.0]).unwrap(), -50.0);
+    }
+
+    #[test]
+    fn non_finite_features_are_errors_not_panics() {
+        // Rows: [coord, mac0, mac1]; the group block is features 1..3.
+        let x = vec![
+            vec![0.5, 1.0, 0.0],
+            vec![f64::NAN, 1.0, 0.0],
+            vec![1.5, 0.0, 1.0],
+        ];
+        let y = vec![-70.0, -72.0, -60.0];
+        let mut b = GroupMeanBaseline::new(1..3).unwrap();
+        // A non-finite value outside the block is never ranked.
+        b.fit(&x, &y).unwrap();
+        let query = Some(MlError::NonFiniteFeature {
+            row: None,
+            column: 1,
+        });
+        assert_eq!(b.predict_one(&[0.5, f64::NAN, 0.0]).err(), query);
+        let batch = FeatureMatrix::from_rows(&[vec![0.5, 1.0, 0.0], vec![0.5, f64::NAN, 0.0]]);
+        assert_eq!(b.predict_batch(&batch.unwrap()).err(), query);
+        assert_eq!(
+            b.predict_one(&[0.5, 0.0, f64::INFINITY]),
+            Err(MlError::NonFiniteFeature {
+                row: None,
+                column: 2,
+            })
+        );
+
+        let mut bad = x.clone();
+        bad[2][2] = f64::NAN;
+        let fit = Some(MlError::NonFiniteFeature {
+            row: Some(2),
+            column: 2,
+        });
+        let mut b = GroupMeanBaseline::new(1..3).unwrap();
+        assert_eq!(b.fit(&bad, &y).err(), fit);
+        assert_eq!(
+            b.fit_batch(&FeatureMatrix::from_rows(&bad).unwrap(), &y)
+                .err(),
+            fit
+        );
+        assert_eq!(b.predict_one(&[0.5, 1.0, 0.0]), Err(MlError::NotFitted));
+        bad[2][2] = f64::NEG_INFINITY;
+        assert_eq!(b.fit(&bad, &y).err(), fit);
     }
 
     #[test]

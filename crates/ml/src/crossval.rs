@@ -2,11 +2,11 @@
 //!
 //! [`cross_validate_with`] evaluates folds under an [`ExecPolicy`]: the fold
 //! assignment is drawn from the caller's RNG before any training starts, each
-//! fold gathers its train/test rows through a borrowed
-//! [`crate::dataset::DatasetView`] (one flat copy per fold, no nested-`Vec`
-//! deep copies), and models train through [`Regressor::fit_batch`]. Fold
-//! results are collected in fold order, so both policies return bit-identical
-//! RMSE vectors.
+//! fold copies its train/test rows once into flat storage with
+//! [`Dataset::gather`], and models train through [`Regressor::fit_batch`]
+//! and score through [`Regressor::predict_batch`]. Fold results are
+//! collected in fold order, so both policies return bit-identical RMSE
+//! vectors.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -116,15 +116,14 @@ where
         &pool,
         &fold_ids,
         |(), &held_out| {
-            let test = data.view(folds[held_out].clone());
             let train_idx: Vec<usize> = folds
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != held_out)
                 .flat_map(|(_, f)| f.iter().copied())
                 .collect();
-            let (train_x, train_y) = data.view(train_idx).to_matrix();
-            let (test_x, test_y) = test.to_matrix();
+            let (train_x, train_y) = data.gather(&train_idx);
+            let (test_x, test_y) = data.gather(&folds[held_out]);
             let mut model = make();
             model.fit_batch(&train_x, &train_y)?;
             let preds = model.predict_batch(&test_x)?;

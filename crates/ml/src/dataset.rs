@@ -45,8 +45,10 @@ impl Dataset {
         self.x.first().map_or(0, Vec::len)
     }
 
-    /// Splits into `(train, test)` with the given training fraction, after a
-    /// seeded shuffle — the paper's 75/25 split uses `train_fraction = 0.75`.
+    /// Shuffles the row indices with `rng` and splits them into
+    /// `(train, test)` with the given training fraction — the paper's 75/25
+    /// split uses `train_fraction = 0.75`. [`Dataset::gather`] copies either
+    /// half into the flat rows an estimator fits on.
     ///
     /// Both halves are guaranteed non-empty.
     ///
@@ -55,77 +57,11 @@ impl Dataset {
     /// Returns [`MlError::InvalidHyperparameter`] when the fraction would
     /// leave either side empty (needs at least 2 rows and a fraction in
     /// `(0, 1)`).
-    pub fn train_test_split<R: Rng>(
+    pub fn split_indices<R: Rng>(
         &self,
         train_fraction: f64,
         rng: &mut R,
-    ) -> Result<(Dataset, Dataset), MlError> {
-        if !(0.0 < train_fraction && train_fraction < 1.0) {
-            return Err(MlError::InvalidHyperparameter {
-                name: "train_fraction",
-                reason: "must be strictly between 0 and 1",
-            });
-        }
-        if self.len() < 2 {
-            return Err(MlError::InvalidHyperparameter {
-                name: "train_fraction",
-                reason: "need at least 2 rows to split",
-            });
-        }
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        let n_train =
-            ((self.len() as f64 * train_fraction).round() as usize).clamp(1, self.len() - 1);
-        let take = |ids: &[usize]| Dataset {
-            x: ids.iter().map(|&i| self.x[i].clone()).collect(),
-            y: ids.iter().map(|&i| self.y[i]).collect(),
-        };
-        Ok((take(&idx[..n_train]), take(&idx[n_train..])))
-    }
-
-    /// Selects a subset of rows by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            x: indices.iter().map(|&i| self.x[i].clone()).collect(),
-            y: indices.iter().map(|&i| self.y[i]).collect(),
-        }
-    }
-
-    /// A borrowed view over the rows selected by `indices` — no feature or
-    /// target data is copied until the view is gathered into flat storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn view(&self, indices: Vec<usize>) -> DatasetView<'_> {
-        assert!(
-            indices.iter().all(|&i| i < self.len()),
-            "view index out of bounds"
-        );
-        DatasetView {
-            data: self,
-            indices,
-        }
-    }
-
-    /// Splits into borrowed `(train, test)` views with the given training
-    /// fraction. Consumes the RNG **exactly** like
-    /// [`Dataset::train_test_split`] (same shuffle, same rounding), so the
-    /// two are interchangeable: the views select the identical rows the
-    /// deep-copying split would have copied.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Dataset::train_test_split`].
-    pub fn split_views<R: Rng>(
-        &self,
-        train_fraction: f64,
-        rng: &mut R,
-    ) -> Result<(DatasetView<'_>, DatasetView<'_>), MlError> {
+    ) -> Result<(Vec<usize>, Vec<usize>), MlError> {
         if !(0.0 < train_fraction && train_fraction < 1.0) {
             return Err(MlError::InvalidHyperparameter {
                 name: "train_fraction",
@@ -143,136 +79,44 @@ impl Dataset {
         let n_train =
             ((self.len() as f64 * train_fraction).round() as usize).clamp(1, self.len() - 1);
         let test = idx.split_off(n_train);
-        Ok((
-            DatasetView {
-                data: self,
-                indices: idx,
-            },
-            DatasetView {
-                data: self,
-                indices: test,
-            },
-        ))
+        Ok((idx, test))
     }
 
-    /// Appends another dataset's rows.
+    /// Splits into `(train, test)` datasets: the rows of
+    /// [`Dataset::split_indices`]' two halves, copied.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::DimensionMismatch`] when dimensions differ.
-    pub fn append(&mut self, other: &Dataset) -> Result<(), MlError> {
-        if !other.is_empty() && !self.is_empty() && other.dim() != self.dim() {
-            return Err(MlError::DimensionMismatch {
-                expected: self.dim(),
-                found: other.dim(),
-            });
+    /// Same conditions as [`Dataset::split_indices`].
+    pub fn train_test_split<R: Rng>(
+        &self,
+        train_fraction: f64,
+        rng: &mut R,
+    ) -> Result<(Dataset, Dataset), MlError> {
+        let (train, test) = self.split_indices(train_fraction, rng)?;
+        let take = |ids: &[usize]| Dataset {
+            x: ids.iter().map(|&i| self.x[i].clone()).collect(),
+            y: ids.iter().map(|&i| self.y[i]).collect(),
+        };
+        Ok((take(&train), take(&test)))
+    }
+
+    /// Copies the rows at `indices`, in that order, into one flat
+    /// [`FeatureMatrix`] beside their targets: the single copy that a split
+    /// or a fold makes for [`crate::Regressor::fit_batch`] and
+    /// [`crate::Regressor::predict_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds, or if the rows are not all of
+    /// one non-zero width, which [`Dataset::new`] checks.
+    pub fn gather(&self, indices: &[usize]) -> (FeatureMatrix, Vec<f64>) {
+        let mut x = FeatureMatrix::with_capacity(self.dim(), indices.len());
+        let mut y = Vec::with_capacity(indices.len());
+        for &i in indices {
+            x.push_row(&self.x[i]);
+            y.push(self.y[i]);
         }
-        self.x.extend(other.x.iter().cloned());
-        self.y.extend(other.y.iter().copied());
-        Ok(())
-    }
-}
-
-/// A borrowed index-slice over a [`Dataset`]: the zero-copy split/fold
-/// currency of grid search and cross-validation.
-///
-/// Where the deep-copying [`Dataset::subset`] clones every selected row,
-/// a view holds only `&Dataset` plus the row indices; the rows are copied
-/// exactly once, straight into the flat [`FeatureMatrix`] an estimator's
-/// `fit_batch` consumes ([`DatasetView::gather_into`]).
-///
-/// # Examples
-///
-/// ```
-/// use aerorem_ml::dataset::Dataset;
-///
-/// # fn main() -> Result<(), aerorem_ml::MlError> {
-/// let data = Dataset::new(
-///     (0..10).map(|i| vec![i as f64]).collect(),
-///     (0..10).map(|i| i as f64).collect(),
-/// )?;
-/// let view = data.view(vec![1, 3, 5]);
-/// assert_eq!(view.len(), 3);
-/// let (x, y) = view.to_matrix();
-/// assert_eq!(x.row(2), &[5.0]);
-/// assert_eq!(y, vec![1.0, 3.0, 5.0]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct DatasetView<'a> {
-    data: &'a Dataset,
-    indices: Vec<usize>,
-}
-
-impl<'a> DatasetView<'a> {
-    /// Number of rows selected by the view.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Whether the view selects no rows.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// Feature dimension of the underlying dataset.
-    pub fn dim(&self) -> usize {
-        self.data.dim()
-    }
-
-    /// The selected row indices, in view order.
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Zero-copy access to the `i`-th selected feature row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn row(&self, i: usize) -> &'a [f64] {
-        &self.data.x[self.indices[i]]
-    }
-
-    /// The `i`-th selected target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn target(&self, i: usize) -> f64 {
-        self.data.y[self.indices[i]]
-    }
-
-    /// Gathers the selected rows into reusable flat buffers: `x` is cleared
-    /// and refilled row by row (keeping its allocation), `y` likewise. This
-    /// is the single copy a fold makes — straight from the parent dataset
-    /// into the storage `fit_batch`/`predict_batch` consume.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` was created with a different feature dimension.
-    pub fn gather_into(&self, x: &mut FeatureMatrix, y: &mut Vec<f64>) {
-        assert_eq!(x.dim(), self.dim(), "gather buffer dim mismatch");
-        x.clear();
-        y.clear();
-        for &i in &self.indices {
-            x.push_row(&self.data.x[i]);
-            y.push(self.data.y[i]);
-        }
-    }
-
-    /// Materializes the view as a fresh `(features, targets)` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view is empty (a view from [`Dataset::split_views`] or
-    /// a non-empty fold never is).
-    pub fn to_matrix(&self) -> (FeatureMatrix, Vec<f64>) {
-        assert!(!self.is_empty(), "cannot materialize an empty view");
-        let mut x = FeatureMatrix::with_capacity(self.dim(), self.len());
-        let mut y = Vec::with_capacity(self.len());
-        self.gather_into(&mut x, &mut y);
         (x, y)
     }
 }
@@ -357,70 +201,39 @@ mod tests {
     }
 
     #[test]
-    fn split_views_select_exactly_what_the_copying_split_copies() {
+    fn split_indices_gather_what_train_test_split_copies() {
         let d = toy(37);
         for seed in [0u64, 1, 7, 42] {
             let (train, test) = d
                 .train_test_split(0.75, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
-            let (tv, sv) = d
-                .split_views(0.75, &mut StdRng::seed_from_u64(seed))
+            let (train_idx, test_idx) = d
+                .split_indices(0.75, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
-            assert_eq!(tv.len(), train.len());
-            assert_eq!(sv.len(), test.len());
-            let (tx, ty) = tv.to_matrix();
-            assert_eq!(ty, train.y);
-            for (i, row) in train.x.iter().enumerate() {
-                assert_eq!(tx.row(i), row.as_slice());
-                assert_eq!(tv.row(i), row.as_slice());
-                assert_eq!(tv.target(i), train.y[i]);
+            for (idx, half) in [(train_idx, train), (test_idx, test)] {
+                let (x, y) = d.gather(&idx);
+                assert_eq!(x, FeatureMatrix::from_rows(&half.x).unwrap(), "seed {seed}");
+                assert_eq!(y, half.y, "seed {seed}");
             }
-            let (_, sy) = sv.to_matrix();
-            assert_eq!(sy, test.y);
         }
     }
 
     #[test]
-    fn split_views_validate_like_the_copying_split() {
-        let d = toy(10);
-        let mut rng = StdRng::seed_from_u64(6);
-        assert!(d.split_views(0.0, &mut rng).is_err());
-        assert!(d.split_views(1.0, &mut rng).is_err());
-        assert!(toy(1).split_views(0.5, &mut rng).is_err());
-    }
-
-    #[test]
-    fn view_gathers_into_reused_buffers() {
+    fn gather_keeps_index_order() {
         let d = toy(12);
-        let mut x = FeatureMatrix::new(2);
-        let mut y = Vec::new();
-        d.view(vec![0, 4]).gather_into(&mut x, &mut y);
-        assert_eq!(x.rows(), 2);
-        d.view(vec![11, 2, 7]).gather_into(&mut x, &mut y);
-        assert_eq!(x.rows(), 3);
-        assert_eq!(y, vec![11.0, 2.0, 7.0]);
+        let (x, y) = d.gather(&[11, 2, 7, 2]);
+        assert_eq!(y, vec![11.0, 2.0, 7.0, 2.0]);
+        assert_eq!(x.rows(), 4);
         assert_eq!(x.row(0), &[11.0, 22.0]);
-        assert_eq!(d.view(vec![3]).indices(), &[3]);
-        assert!(!d.view(vec![3]).is_empty());
-        assert_eq!(d.view(vec![3]).dim(), 2);
+        assert_eq!(x.row(1), &[2.0, 4.0]);
+        assert_eq!(x.row(2), &[7.0, 14.0]);
+        assert_eq!(x.row(3), &[2.0, 4.0]);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn view_rejects_bad_indices() {
+    fn gather_panics_on_an_out_of_bounds_index() {
         let d = toy(3);
-        let _ = d.view(vec![0, 3]);
-    }
-
-    #[test]
-    fn subset_and_append() {
-        let d = toy(10);
-        let s = d.subset(&[0, 5, 9]);
-        assert_eq!(s.y, vec![0.0, 5.0, 9.0]);
-        let mut a = d.subset(&[0, 1]);
-        a.append(&s).unwrap();
-        assert_eq!(a.len(), 5);
-        let bad = Dataset::new(vec![vec![1.0]], vec![1.0]).unwrap();
-        assert!(a.append(&bad).is_err());
+        let _ = d.gather(&[0, 3]);
     }
 }

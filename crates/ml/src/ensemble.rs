@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::knn::{KnnRegressor, Weighting};
-use crate::{finite_row, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{finite_row, validate_matrix_y, FeatureMatrix, MlError, Regressor};
 
 /// One kNN model per group (per MAC), trained on the non-group features
 /// only. Groups never seen in training fall back to the global mean.
@@ -113,17 +113,11 @@ impl PerGroupKnn {
             .map(|(_, &v)| v)
             .collect()
     }
+}
 
-    /// Shared fitting core behind [`Regressor::fit`] and
-    /// [`Regressor::fit_batch`]: rows are bucketed in input order and each
-    /// submodel trains through the same `KnnRegressor::fit`, so the two
-    /// entry points produce identical models.
-    fn fit_rows<'r>(
-        &mut self,
-        rows: impl Iterator<Item = &'r [f64]>,
-        y: &[f64],
-        dim: usize,
-    ) -> Result<(), MlError> {
+impl Regressor for PerGroupKnn {
+    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
+        let dim = validate_matrix_y(xs, y)?;
         if self.group_range.end > dim {
             return Err(MlError::DimensionMismatch {
                 expected: self.group_range.end,
@@ -136,36 +130,26 @@ impl PerGroupKnn {
                 reason: "no features left outside the group block",
             });
         }
-        // Bucket rows by group.
-        let mut buckets: BTreeMap<usize, (Vec<Vec<f64>>, Vec<f64>)> = BTreeMap::new();
-        for (i, (row, &t)) in rows.zip(y).enumerate() {
+        // Bucket each group's stripped rows, in input order.
+        let stripped_dim = dim - self.group_range.len();
+        let mut buckets: BTreeMap<usize, (FeatureMatrix, Vec<f64>)> = BTreeMap::new();
+        for (i, (row, &t)) in xs.iter().zip(y).enumerate() {
             finite_row(Some(i), row)?;
-            let g = self.group_of(row);
-            let e = buckets.entry(g).or_default();
-            e.0.push(self.strip_group(row));
-            e.1.push(t);
+            let (gx, gy) = buckets
+                .entry(self.group_of(row))
+                .or_insert_with(|| (FeatureMatrix::new(stripped_dim), Vec::new()));
+            gx.push_row(&self.strip_group(row));
+            gy.push(t);
         }
         self.dim = dim;
         self.global_mean = Some(y.iter().sum::<f64>() / y.len() as f64);
         self.models.clear();
         for (g, (gx, gy)) in buckets {
             let mut model = KnnRegressor::new(self.k, self.weighting, self.minkowski_p)?;
-            model.fit(&gx, &gy)?;
+            model.fit_batch(&gx, &gy)?;
             self.models.insert(g, model);
         }
         Ok(())
-    }
-}
-
-impl Regressor for PerGroupKnn {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
-        let dim = validate_xy(x, y)?;
-        self.fit_rows(x.iter().map(Vec::as_slice), y, dim)
-    }
-
-    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
-        let dim = validate_matrix_y(xs, y)?;
-        self.fit_rows(xs.iter(), y, dim)
     }
 
     fn predict_one(&self, x: &[f64]) -> Result<f64, MlError> {

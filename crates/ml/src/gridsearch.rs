@@ -5,12 +5,13 @@
 //! of the training set". [`grid_search`] does exactly that over any list of
 //! named candidate builders. Candidates are independent, so
 //! [`grid_search_with`] evaluates them under an [`ExecPolicy`]: the split is
-//! materialised **once** into flat [`FeatureMatrix`] fit/validation sets
-//! (via [`Dataset::split_views`], no per-candidate deep copies) and each
-//! candidate trains through [`Regressor::fit_batch`] and scores through
-//! [`Regressor::predict_batch`]. Both policies produce bit-identical
-//! rankings because candidate evaluation never communicates and the final
-//! sort is a stable serial pass.
+//! drawn by [`Dataset::split_indices`] and copied **once** into flat
+//! [`FeatureMatrix`] fit/validation sets by [`Dataset::gather`], shared by
+//! every candidate, and each candidate trains through
+//! [`Regressor::fit_batch`] and scores through [`Regressor::predict_batch`].
+//! Both policies produce bit-identical rankings because candidate
+//! evaluation never communicates and the final sort is a stable serial
+//! pass.
 
 use rand::Rng;
 
@@ -104,9 +105,9 @@ where
             reason: "grid must contain at least one candidate",
         });
     }
-    let (fit_view, val_view) = train.split_views(1.0 - val_fraction, rng)?;
-    let (fit_x, fit_y) = fit_view.to_matrix();
-    let (val_x, val_y) = val_view.to_matrix();
+    let (fit_idx, val_idx) = train.split_indices(1.0 - val_fraction, rng)?;
+    let (fit_x, fit_y) = train.gather(&fit_idx);
+    let (val_x, val_y) = train.gather(&val_idx);
 
     // One candidate = one chunk: a fit + validation pass is orders of
     // magnitude heavier than the executor's per-chunk bookkeeping, and

@@ -5,7 +5,7 @@
 //! an ablation baseline for the Figure-8 bench (see `DESIGN.md` §6).
 
 use crate::kdtree::{IndexScratch, NeighborIndex};
-use crate::{finite_row, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{finite_row, validate_matrix_y, FeatureMatrix, MlError, Regressor};
 
 /// Shepard interpolation: `ŷ(q) = Σ wᵢ yᵢ / Σ wᵢ` with `wᵢ = 1/dᵢᵖ`
 /// over the `max_neighbors` nearest samples.
@@ -109,14 +109,6 @@ impl IdwInterpolator {
 }
 
 impl Regressor for IdwInterpolator {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
-        validate_xy(x, y)?;
-        let rows = FeatureMatrix::from_rows(x).expect("validated rows");
-        self.index = Some(NeighborIndex::try_new(rows)?);
-        self.y = y.to_vec();
-        Ok(())
-    }
-
     fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
         validate_matrix_y(xs, y)?;
         self.index = Some(NeighborIndex::try_new(xs.clone())?);

@@ -17,9 +17,7 @@
 //! row.
 
 use crate::kdtree::{top_k_from_candidates, IndexScratch, NeighborIndex};
-use crate::{
-    finite_row, finite_rows, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor,
-};
+use crate::{finite_row, finite_rows, validate_matrix_y, FeatureMatrix, MlError, Regressor};
 use aerorem_numerics::kernels::{sq_euclidean, taxicab};
 
 /// Neighbour weighting scheme.
@@ -241,12 +239,27 @@ impl KnnRegressor {
     }
 }
 
-impl KnnRegressor {
-    /// Shared fit core: installs the already-scaled training rows. Both
-    /// `fit` and `fit_batch` end here, so the two are bit-identical by
-    /// construction.
-    fn fit_rows(&mut self, rows: FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
-        let dim = rows.dim();
+impl Regressor for KnnRegressor {
+    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
+        let dim = validate_matrix_y(xs, y)?;
+        // One copy of the training rows, scaled, which the fitted search
+        // takes ownership of.
+        let rows = match &self.feature_scale {
+            None => xs.clone(),
+            Some(s) if s.len() != dim => {
+                return Err(MlError::DimensionMismatch {
+                    expected: dim,
+                    found: s.len(),
+                });
+            }
+            Some(s) => {
+                let mut flat = Vec::with_capacity(xs.as_slice().len());
+                for row in xs.iter() {
+                    flat.extend(row.iter().zip(s).map(|(v, w)| v * w));
+                }
+                FeatureMatrix::from_flat(dim, flat).expect("whole rows of a validated width")
+            }
+        };
         // The index build checks finiteness in its own pass over the rows.
         let fitted = if self.is_euclidean() {
             Fitted::Index(NeighborIndex::try_new(rows)?)
@@ -258,59 +271,6 @@ impl KnnRegressor {
         self.dim = Some(dim);
         self.fitted = Some(fitted);
         Ok(())
-    }
-
-    /// Single flat copy of the (scaled) training set, which the fitted
-    /// search takes ownership of.
-    ///
-    /// # Errors
-    ///
-    /// [`MlError::DimensionMismatch`] when the scale's length is not `dim`.
-    fn flatten_scaled<'r>(
-        &self,
-        rows: impl Iterator<Item = &'r [f64]>,
-        n: usize,
-        dim: usize,
-    ) -> Result<FeatureMatrix, MlError> {
-        let mut flat = Vec::with_capacity(n * dim);
-        match &self.feature_scale {
-            Some(s) if s.len() != dim => {
-                return Err(MlError::DimensionMismatch {
-                    expected: dim,
-                    found: s.len(),
-                });
-            }
-            Some(s) => {
-                for row in rows {
-                    flat.extend(row.iter().zip(s).map(|(v, w)| v * w));
-                }
-            }
-            None => {
-                for row in rows {
-                    flat.extend_from_slice(row);
-                }
-            }
-        }
-        Ok(FeatureMatrix::from_flat(dim, flat).expect("whole rows of a validated width"))
-    }
-}
-
-impl Regressor for KnnRegressor {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
-        let dim = validate_xy(x, y)?;
-        let rows = self.flatten_scaled(x.iter().map(Vec::as_slice), x.len(), dim)?;
-        self.fit_rows(rows, y)
-    }
-
-    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
-        let dim = validate_matrix_y(xs, y)?;
-        // Unscaled fits take the flat storage in one memcpy; scaled fits
-        // stream it through the same per-element multiply `fit` uses.
-        let rows = match &self.feature_scale {
-            None => xs.clone(),
-            Some(_) => self.flatten_scaled(xs.iter(), xs.rows(), dim)?,
-        };
-        self.fit_rows(rows, y)
     }
 
     fn predict_one(&self, x: &[f64]) -> Result<f64, MlError> {
@@ -660,7 +620,9 @@ mod tests {
         let (x, y) = line_data();
         let mut knn = KnnRegressor::paper_tuned();
         knn.fit(&x, &y).unwrap();
-        let preds = knn.predict(&x).unwrap();
+        let preds = knn
+            .predict_batch(&FeatureMatrix::from_rows(&x).unwrap())
+            .unwrap();
         assert_eq!(preds.len(), x.len());
         // Exact training points reproduce their targets under distance
         // weighting.

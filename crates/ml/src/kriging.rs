@@ -6,7 +6,7 @@
 //! estimator and ablation baseline.
 //!
 //! Pipeline: an **empirical semivariogram** is estimated from the training
-//! pairs ([`empirical_variogram`]), a parametric model (exponential /
+//! pairs ([`empirical_variogram_matrix`]), a parametric model (exponential /
 //! spherical / Gaussian) is fitted by weighted least squares over a
 //! parameter grid ([`fit_variogram`]), and predictions solve the ordinary
 //! kriging system over the nearest neighbours with the Lagrange multiplier
@@ -17,7 +17,7 @@ use aerorem_numerics::kernels::sq_euclidean;
 use aerorem_numerics::{LuFactors, Matrix};
 
 use crate::kdtree::{IndexScratch, NeighborIndex};
-use crate::{finite_row, validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{finite_row, validate_matrix_y, FeatureMatrix, MlError, Regressor};
 
 /// Parametric semivariogram families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -239,30 +239,6 @@ pub fn empirical_variogram_matrix(
             pairs: count[b],
         })
         .collect())
-}
-
-/// Estimates the empirical semivariogram with `n_bins` equal-width lag bins
-/// up to `max_lag`.
-///
-/// Convenience wrapper over [`empirical_variogram_matrix`] for nested-row
-/// input, run under the default execution policy.
-///
-/// # Errors
-///
-/// Returns [`MlError::InvalidHyperparameter`] for zero bins or non-positive
-/// `max_lag`, [`MlError::EmptyTrainingSet`] for fewer than 2 points.
-pub fn empirical_variogram(
-    points: &[Vec<f64>],
-    values: &[f64],
-    n_bins: usize,
-    max_lag: f64,
-) -> Result<Vec<VariogramBin>, MlError> {
-    if points.len() < 2 {
-        return Err(MlError::EmptyTrainingSet);
-    }
-    validate_xy(points, values)?;
-    let xm = FeatureMatrix::from_rows(points).expect("validated rows");
-    empirical_variogram_matrix(&xm, values, n_bins, max_lag, ExecPolicy::default())
 }
 
 /// Fits a variogram model to empirical bins by pair-count-weighted least
@@ -684,17 +660,15 @@ fn drain_cache_stats<F: Fn() -> KrigingScratch>(
     stats
 }
 
-impl OrdinaryKriging {
-    /// Shared fit core over flat storage: both `fit` (after one flatten)
-    /// and `fit_batch` (one clone of the flat matrix) run this exact code,
-    /// so the two produce bit-identical variograms and predictions.
-    fn fit_matrix(&mut self, xm: FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
-        if xm.rows() < 2 {
+impl Regressor for OrdinaryKriging {
+    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
+        validate_matrix_y(xs, y)?;
+        if xs.rows() < 2 {
             return Err(MlError::EmptyTrainingSet);
         }
         // The neighbour index owns the single copy of the training rows,
         // and its build checks that they are finite.
-        let index = NeighborIndex::try_new(xm)?;
+        let index = NeighborIndex::try_new(xs.clone())?;
         let xm = index.rows();
         // Max lag: half the data diameter (standard practice).
         let probe = xm.rows().min(200);
@@ -722,22 +696,6 @@ impl OrdinaryKriging {
         self.index = Some(index);
         self.y = y.to_vec();
         Ok(())
-    }
-}
-
-impl Regressor for OrdinaryKriging {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
-        validate_xy(x, y)?;
-        if x.len() < 2 {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        let xm = FeatureMatrix::from_rows(x).expect("validated rows");
-        self.fit_matrix(xm, y)
-    }
-
-    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
-        validate_matrix_y(xs, y)?;
-        self.fit_matrix(xs.clone(), y)
     }
 
     fn predict_one(&self, q: &[f64]) -> Result<f64, MlError> {
@@ -799,7 +757,8 @@ mod tests {
         // z = x → γ(h) = h²/2: strictly growing in lag.
         let pts: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 * 0.5]).collect();
         let vals: Vec<f64> = pts.iter().map(|p| p[0]).collect();
-        let bins = empirical_variogram(&pts, &vals, 8, 8.0).unwrap();
+        let xm = FeatureMatrix::from_rows(&pts).unwrap();
+        let bins = empirical_variogram_matrix(&xm, &vals, 8, 8.0, ExecPolicy::default()).unwrap();
         assert!(bins.len() >= 4);
         for w in bins.windows(2) {
             assert!(w[1].gamma > w[0].gamma);
@@ -808,11 +767,13 @@ mod tests {
 
     #[test]
     fn empirical_variogram_validation() {
-        let pts = vec![vec![0.0], vec![1.0]];
+        let pts = FeatureMatrix::from_rows(&[vec![0.0], vec![1.0]]).unwrap();
+        let one = FeatureMatrix::from_rows(&[vec![0.0]]).unwrap();
         let vals = vec![0.0, 1.0];
-        assert!(empirical_variogram(&pts, &vals, 0, 1.0).is_err());
-        assert!(empirical_variogram(&pts, &vals, 4, 0.0).is_err());
-        assert!(empirical_variogram(&pts[..1], &vals[..1], 4, 1.0).is_err());
+        let policy = ExecPolicy::default();
+        assert!(empirical_variogram_matrix(&pts, &vals, 0, 1.0, policy).is_err());
+        assert!(empirical_variogram_matrix(&pts, &vals, 4, 0.0, policy).is_err());
+        assert!(empirical_variogram_matrix(&one, &vals[..1], 4, 1.0, policy).is_err());
     }
 
     #[test]
@@ -956,8 +917,6 @@ mod tests {
         let a = empirical_variogram_matrix(&xm, &vals, 10, 4.0, ExecPolicy::Serial).unwrap();
         let b = empirical_variogram_matrix(&xm, &vals, 10, 4.0, ExecPolicy::Parallel).unwrap();
         assert_eq!(a, b);
-        let nested = empirical_variogram(&pts, &vals, 10, 4.0).unwrap();
-        assert_eq!(a, nested, "nested-row wrapper shares the blocked core");
         let fa = fit_variogram_with(&a, VariogramKind::Exponential, ExecPolicy::Serial).unwrap();
         let fb = fit_variogram_with(&b, VariogramKind::Exponential, ExecPolicy::Parallel).unwrap();
         assert_eq!(fa, fb);

@@ -132,19 +132,42 @@ impl std::error::Error for MlError {}
 
 /// A regression estimator: fit on rows, predict scalars.
 ///
+/// Each estimator implements one fit, [`Regressor::fit_batch`], over a
+/// contiguous [`FeatureMatrix`]; the nested-row [`Regressor::fit`] copies
+/// its rows into one and calls it, so the two leave the same state by
+/// construction.
+///
 /// `Send + Sync` is a supertrait so fitted models can be shared across
 /// worker threads — the REM generator predicts every lattice voxel in
 /// parallel from one `&dyn Regressor`. All estimators here are plain
 /// value types, so the bound costs implementors nothing.
 pub trait Regressor: Send + Sync {
-    /// Fits the estimator to feature rows `x` and targets `y`.
+    /// Fits the estimator to the rows of `xs` and targets `y` — the one fit
+    /// each estimator implements, fed by [`dataset::Dataset::gather`] in
+    /// grid search, cross-validation and the Figure-8 comparison.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError`] for empty, ragged, or mismatched input; the
-    /// neighbour estimators (kNN, IDW, kriging) return
-    /// [`MlError::NonFiniteFeature`] for a NaN or infinite feature.
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError>;
+    /// Returns [`MlError`] for empty or mismatched input; the neighbour
+    /// estimators (kNN, IDW, kriging) and the mean-per-MAC baseline return
+    /// [`MlError::NonFiniteFeature`] for a NaN or infinite feature they
+    /// rank on.
+    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError>;
+
+    /// Fits the estimator to nested feature rows `x` and targets `y`: the
+    /// rows are checked, copied into a [`FeatureMatrix`] and handed to
+    /// [`Regressor::fit_batch`].
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::EmptyTrainingSet`], [`MlError::LengthMismatch`] or
+    /// [`MlError::DimensionMismatch`] for empty, mismatched, zero-width or
+    /// ragged rows; otherwise the errors of [`Regressor::fit_batch`].
+    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
+        validate_xy(x, y)?;
+        let xs = FeatureMatrix::from_rows(x).expect("validated rows");
+        self.fit_batch(&xs, y)
+    }
 
     /// Predicts the target for one feature row.
     ///
@@ -152,18 +175,10 @@ pub trait Regressor: Send + Sync {
     ///
     /// Returns [`MlError::NotFitted`] before fit and
     /// [`MlError::DimensionMismatch`] for wrong-width rows; the neighbour
-    /// estimators return [`MlError::NonFiniteFeature`] for a NaN or
-    /// infinite feature.
+    /// estimators and the mean-per-MAC baseline return
+    /// [`MlError::NonFiniteFeature`] for a NaN or infinite feature they
+    /// rank on.
     fn predict_one(&self, x: &[f64]) -> Result<f64, MlError>;
-
-    /// Predicts a batch of rows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first row error.
-    fn predict(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
-        xs.iter().map(|x| self.predict_one(x)).collect()
-    }
 
     /// Predicts every row of a contiguous [`FeatureMatrix`] — the batched
     /// inference hot path.
@@ -180,25 +195,6 @@ pub trait Regressor: Send + Sync {
     /// Propagates the first row error (in row order).
     fn predict_batch(&self, xs: &FeatureMatrix) -> Result<Vec<f64>, MlError> {
         xs.iter().map(|x| self.predict_one(x)).collect()
-    }
-
-    /// Fits the estimator from a contiguous [`FeatureMatrix`] — the batched
-    /// training hot path, fed directly by `dataset::DatasetView` gathers.
-    ///
-    /// Same strict contract as [`Regressor::predict_batch`], mirrored for
-    /// training: implementations must leave the estimator in **exactly** the
-    /// state that [`Regressor::fit`] on the equivalent row slices would.
-    /// Batching buys flat copies and zero-copy row views, never different
-    /// numerics. The default implementation materializes the rows and
-    /// delegates to `fit`; estimators on the model-selection hot path
-    /// override it to consume the flat storage directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Regressor::fit`].
-    fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
-        let rows: Vec<Vec<f64>> = xs.iter().map(<[f64]>::to_vec).collect();
-        self.fit(&rows, y)
     }
 }
 

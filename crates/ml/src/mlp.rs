@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use aerorem_numerics::dist;
 use aerorem_numerics::kernels::matmul_ikj_into;
 
-use crate::{validate_matrix_y, validate_xy, FeatureMatrix, MlError, Regressor};
+use crate::{validate_matrix_y, FeatureMatrix, MlError, Regressor};
 
 /// Neuron activation function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -298,22 +298,6 @@ impl Mlp {
         Self::new(MlpConfig::paper_tuned())
     }
 
-    /// Mean squared error over a dataset in the *normalized* target space —
-    /// exposed for convergence tests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction errors.
-    pub fn mse(&self, x: &[Vec<f64>], y: &[f64]) -> Result<f64, MlError> {
-        let preds = self.predict(x)?;
-        Ok(preds
-            .iter()
-            .zip(y)
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum::<f64>()
-            / y.len() as f64)
-    }
-
     fn forward_all(&self, input: &[f64]) -> Vec<Vec<f64>> {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(input.to_vec());
@@ -427,9 +411,8 @@ fn step(opt: Optimizer, g: f64, m: &mut f64, v: &mut f64, t: f64) -> f64 {
 }
 
 impl Mlp {
-    /// Shared training core over flat row-major features: both `fit` (after
-    /// one flatten) and `fit_batch` (zero-copy) run this exact code, so the
-    /// two leave bit-identical network weights.
+    /// The training loop over flat row-major features, which
+    /// [`Regressor::fit_batch`] hands over without a copy.
     fn fit_flat(&mut self, x: &[f64], n_rows: usize, dim: usize, y: &[f64]) -> Result<(), MlError> {
         if self.config.batch_size == 0 {
             return Err(MlError::InvalidHyperparameter {
@@ -490,15 +473,6 @@ impl Mlp {
 }
 
 impl Regressor for Mlp {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), MlError> {
-        let dim = validate_xy(x, y)?;
-        let mut flat = Vec::with_capacity(x.len() * dim);
-        for row in x {
-            flat.extend_from_slice(row);
-        }
-        self.fit_flat(&flat, x.len(), dim, y)
-    }
-
     fn fit_batch(&mut self, xs: &FeatureMatrix, y: &[f64]) -> Result<(), MlError> {
         let dim = validate_matrix_y(xs, y)?;
         self.fit_flat(xs.as_slice(), xs.rows(), dim, y)
@@ -554,6 +528,20 @@ impl Regressor for Mlp {
 mod tests {
     use super::*;
 
+    /// Mean squared error of `net`'s predictions over the rows `x`.
+    fn mse(net: &Mlp, x: &[Vec<f64>], y: &[f64]) -> Result<f64, MlError> {
+        let preds = x
+            .iter()
+            .map(|row| net.predict_one(row))
+            .collect::<Result<Vec<f64>, MlError>>()?;
+        Ok(preds
+            .iter()
+            .zip(y)
+            .map(|(p, t)| (p - t) * (p - t))
+            .sum::<f64>()
+            / y.len() as f64)
+    }
+
     #[test]
     fn learns_linear_function() {
         let x: Vec<Vec<f64>> = (0..80).map(|i| vec![i as f64 / 80.0]).collect();
@@ -578,7 +566,7 @@ mod tests {
             ..MlpConfig::paper_tuned()
         });
         net.fit(&x, &y).unwrap();
-        let mse = net.mse(&x, &y).unwrap();
+        let mse = mse(&net, &x, &y).unwrap();
         assert!(mse < 0.01, "mse {mse}");
     }
 
@@ -600,8 +588,8 @@ mod tests {
             ..MlpConfig::paper_tuned()
         });
         sgd.fit(&x, &y).unwrap();
-        let mse_adam = adam.mse(&x, &y).unwrap();
-        let mse_sgd = sgd.mse(&x, &y).unwrap();
+        let mse_adam = mse(&adam, &x, &y).unwrap();
+        let mse_sgd = mse(&sgd, &x, &y).unwrap();
         assert!(
             mse_adam < mse_sgd,
             "adam {mse_adam} should beat sgd {mse_sgd} on a short budget"
@@ -717,7 +705,7 @@ mod tests {
             ..MlpConfig::paper_tuned()
         });
         net.fit(&x, &y).unwrap();
-        let mse = net.mse(&x, &y).unwrap();
+        let mse = mse(&net, &x, &y).unwrap();
         assert!(mse < 0.05, "deep net mse {mse}");
     }
 }

@@ -1,13 +1,11 @@
-//! Feature preprocessing: one-hot encoding and standardization.
+//! Feature preprocessing: one-hot encoding.
 //!
 //! §III-B: "MAC and channel features were considered as categorical and
 //! one-hot encoded", after dropping MACs with fewer than 16 samples. The
 //! paper-specific sample filtering lives in `aerorem-core`; the reusable
-//! encoders live here.
+//! encoder lives here.
 
 use std::collections::BTreeMap;
-
-use crate::MlError;
 
 /// A one-hot encoder over arbitrary ordered keys.
 ///
@@ -103,93 +101,6 @@ impl CategoryEncoding {
     }
 }
 
-/// Z-score standardizer fitted per feature column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StandardScaler {
-    means: Vec<f64>,
-    stds: Vec<f64>,
-}
-
-impl StandardScaler {
-    /// Fits means and standard deviations per column.
-    ///
-    /// Constant columns get a std of 1 (they become all-zero after
-    /// transform rather than NaN).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::EmptyTrainingSet`] for no rows and
-    /// [`MlError::DimensionMismatch`] for ragged rows.
-    pub fn fit(x: &[Vec<f64>]) -> Result<Self, MlError> {
-        if x.is_empty() {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        let dim = x[0].len();
-        if x.iter().any(|r| r.len() != dim) {
-            return Err(MlError::DimensionMismatch {
-                expected: dim,
-                found: x.iter().find(|r| r.len() != dim).map_or(0, |r| r.len()),
-            });
-        }
-        let n = x.len() as f64;
-        let mut means = vec![0.0; dim];
-        for row in x {
-            for (m, v) in means.iter_mut().zip(row) {
-                *m += v;
-            }
-        }
-        for m in &mut means {
-            *m /= n;
-        }
-        let mut stds = vec![0.0; dim];
-        for row in x {
-            for ((s, v), m) in stds.iter_mut().zip(row).zip(&means) {
-                *s += (v - m) * (v - m);
-            }
-        }
-        for s in &mut stds {
-            *s = (*s / n).sqrt();
-            if *s < 1e-12 {
-                *s = 1.0;
-            }
-        }
-        Ok(StandardScaler { means, stds })
-    }
-
-    /// Transforms one row in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] for a wrong-width row.
-    pub fn transform_row(&self, row: &mut [f64]) -> Result<(), MlError> {
-        if row.len() != self.means.len() {
-            return Err(MlError::DimensionMismatch {
-                expected: self.means.len(),
-                found: row.len(),
-            });
-        }
-        for ((v, m), s) in row.iter_mut().zip(&self.means).zip(&self.stds) {
-            *v = (*v - m) / s;
-        }
-        Ok(())
-    }
-
-    /// Transforms a whole matrix, returning a new one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first row error.
-    pub fn transform(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, MlError> {
-        x.iter()
-            .map(|r| {
-                let mut row = r.clone();
-                self.transform_row(&mut row)?;
-                Ok(row)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,27 +143,5 @@ mod tests {
         assert_eq!(signal, CategoryEncoding::Unknown);
         assert!(!signal.is_known());
         assert_eq!(out, vec![7.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn scaler_zero_mean_unit_std() {
-        let x = vec![vec![1.0, 10.0], vec![3.0, 10.0], vec![5.0, 10.0]];
-        let sc = StandardScaler::fit(&x).unwrap();
-        let t = sc.transform(&x).unwrap();
-        let mean0: f64 = t.iter().map(|r| r[0]).sum::<f64>() / 3.0;
-        assert!(mean0.abs() < 1e-12);
-        let var0: f64 = t.iter().map(|r| r[0] * r[0]).sum::<f64>() / 3.0;
-        assert!((var0 - 1.0).abs() < 1e-12);
-        // Constant column maps to zeros, not NaN.
-        assert!(t.iter().all(|r| r[1] == 0.0));
-    }
-
-    #[test]
-    fn scaler_validation() {
-        assert!(StandardScaler::fit(&[]).is_err());
-        assert!(StandardScaler::fit(&[vec![1.0], vec![1.0, 2.0]]).is_err());
-        let sc = StandardScaler::fit(&[vec![1.0, 2.0]]).unwrap();
-        let mut bad = vec![1.0];
-        assert!(sc.transform_row(&mut bad).is_err());
     }
 }

@@ -10,6 +10,7 @@ use aerorem::core::features::{preprocess, PreprocessConfig};
 use aerorem::core::models::{evaluate_all, ModelKind};
 use aerorem::mission::campaign::{Campaign, CampaignConfig};
 use aerorem::ml::gridsearch::{grid_search, knn_grid, mlp_grid};
+use aerorem::ml::FeatureMatrix;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sanity: the best model reproduces the training points well.
     let mut knn = ModelKind::KnnScaled16.build(&layout)?;
     knn.fit(&train.x, &train.y)?;
-    let preds = knn.predict(&test.x)?;
+    let preds = knn.predict_batch(&FeatureMatrix::from_rows(&test.x)?)?;
     let rmse = aerorem::numerics::stats::rmse(&preds, &test.y);
     println!("\nbest kNN on the held-out test set: {rmse:.4} dBm (paper: 4.4186)");
     Ok(())
