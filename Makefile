@@ -40,10 +40,11 @@ bench-build:
 	cargo bench --no-run
 
 # The end-to-end benchmark (perfbench/, its own workspace) must compile
-# against the current workspace API. --locked leaves perfbench/Cargo.lock
-# as committed; a plain cargo check would rewrite it.
+# against the current workspace API, and each of its three workloads must
+# answer correctly in a one-second run (`"correct": true`, `"failed": 0`).
+# Both build with --locked, which leaves perfbench/Cargo.lock as committed.
 perfbench-check:
-	cargo check -q --offline --locked --manifest-path perfbench/Cargo.toml
+	./scripts/perfbench_check
 
 # Smoke-sized run of the custom-harness benches: every bit-identity
 # assertion executes (including the PR-7 executor scaling sweep, the

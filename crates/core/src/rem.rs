@@ -272,6 +272,11 @@ impl RemGrid {
         &self.values
     }
 
+    /// Consumes the grid, yielding its [`RemGrid::values`] without a copy.
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
+    }
+
     /// Reassembles a grid from its parts — the inverse of
     /// ([`RemGrid::mac`], [`RemGrid::volume`], [`RemGrid::dims`],
     /// [`RemGrid::values`]), used by the snapshot decoder and by synthetic

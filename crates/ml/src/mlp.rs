@@ -427,6 +427,9 @@ impl Mlp {
             });
         }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
+        // The layers below are rebuilt, so until training succeeds the
+        // model is not fitted.
+        self.dim = None;
 
         // Target normalization (the paper normalizes RSS values).
         if self.config.normalize_targets {
@@ -453,7 +456,6 @@ impl Mlp {
         }
         self.layers
             .push(Layer::new(prev, 1, self.config.output_activation, &mut rng));
-        self.dim = Some(dim);
 
         // Mini-batch training. All per-sample and per-batch buffers are
         // allocated once here and reused for every epoch.
@@ -468,6 +470,7 @@ impl Mlp {
                 }
             }
         }
+        self.dim = Some(dim);
         Ok(())
     }
 }
@@ -626,6 +629,20 @@ mod tests {
         net.fit(&x, &y).unwrap();
         let p = net.predict_one(&[0.5]).unwrap();
         assert!((p - -75.0).abs() < 1.5, "got {p}");
+    }
+
+    #[test]
+    fn a_diverged_fit_leaves_the_model_unfitted() {
+        let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 * 1e3]).collect();
+        let y: Vec<f64> = (0..40).map(|i| i as f64 * 1e6).collect();
+        let mut net = Mlp::new(MlpConfig {
+            optimizer: Optimizer::Sgd { lr: 1e3 },
+            normalize_targets: false,
+            epochs: 50,
+            ..MlpConfig::paper_tuned()
+        });
+        assert!(matches!(net.fit(&x, &y), Err(MlError::Numerical(_))));
+        assert_eq!(net.predict_one(&[1.0]), Err(MlError::NotFitted));
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl ByteWriter {
     ///
     /// Panics if `bytes` is longer than `u32::MAX` (no real field is).
     pub fn put_len_bytes(&mut self, bytes: &[u8]) {
-        let len = u32::try_from(bytes.len()).expect("length-prefixed field over 4 GiB"); // lint:allow(panic-reach) — every caller encodes fields capped far below u32::MAX (MAX_PAYLOAD is 2^30); documented in # Panics
+        let len = u32::try_from(bytes.len()).expect("length-prefixed field over 4 GiB");
         self.put_u32(len);
         self.put_bytes(bytes);
     }

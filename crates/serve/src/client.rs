@@ -16,7 +16,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use crate::query::{Query, Response};
-use crate::wire::{ErrorCode, Frame, FrameKind, Message, NamespaceInfo, WireError};
+use crate::wire::{self, ErrorCode, FrameKind, Header, Message, NamespaceInfo, ReadBuf, WireError};
 
 /// What loading a snapshot over the wire installed (mirror of the
 /// daemon-side [`crate::daemon::LoadInfo`]).
@@ -102,7 +102,7 @@ enum Transport {
     Uds(UnixStream),
 }
 
-impl Transport {
+impl Read for Transport {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             Transport::Tcp(s) => s.read(buf),
@@ -110,7 +110,9 @@ impl Transport {
             Transport::Uds(s) => s.read(buf),
         }
     }
+}
 
+impl Transport {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         match self {
             Transport::Tcp(s) => s.write_all(buf).and_then(|()| s.flush()),
@@ -123,12 +125,10 @@ impl Transport {
 /// One blocking connection to an `aerorem serve` daemon.
 pub struct WireClient {
     transport: Transport,
-    /// Bytes read from the socket; `buf[start..]` is not decoded yet.
-    buf: Vec<u8>,
-    /// Offset of the first undecoded byte in `buf`.
-    start: usize,
-    /// The read target, allocated once per connection.
-    chunk: Vec<u8>,
+    /// Replies as read from the socket, decoded in place.
+    replies: ReadBuf,
+    /// The request being sent, encoded in place; its capacity is reused.
+    request: Vec<u8>,
     next_seq: u64,
 }
 
@@ -157,57 +157,73 @@ impl WireClient {
     fn new(transport: Transport) -> WireClient {
         WireClient {
             transport,
-            buf: Vec::new(),
-            start: 0,
-            chunk: vec![0; 64 * 1024],
+            replies: ReadBuf::new(),
+            request: Vec::new(),
             next_seq: 1,
         }
     }
 
-    fn send(&mut self, msg: Message, namespace: u32) -> Result<u64, ClientError> {
+    /// Sends one frame of kind `kind` whose payload `put_payload` encodes
+    /// straight into the request buffer; returns its seq.
+    fn send(
+        &mut self,
+        kind: FrameKind,
+        namespace: u32,
+        put_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, ClientError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.transport
-            .write_all(&msg.into_frame(namespace, seq).encode())?;
+        self.request.clear();
+        wire::write_frame(&mut self.request, kind, namespace, seq, put_payload)?;
+        self.transport.write_all(&self.request)?;
         Ok(seq)
     }
 
-    /// Reads until one complete frame is buffered and returns it. Frames
-    /// are consumed by offset; the buffer is compacted once per read.
-    fn recv_frame(&mut self) -> Result<Frame, ClientError> {
-        loop {
-            let undecoded = &self.buf[self.start..]; // lint:allow(panic-reach) — start only grows by lengths decode_stream returned for frames inside buf, and compaction resets it to 0
-            if let Some((frame, consumed)) = Frame::decode_stream(undecoded)? {
-                self.start += consumed;
-                return Ok(frame);
+    /// Reads until one complete frame is buffered, then decodes it in
+    /// place: its header and its CRC-checked payload, borrowed from the
+    /// read buffer.
+    fn recv_frame(&mut self) -> Result<(Header, &[u8]), ClientError> {
+        while !self.replies.has_frame()? {
+            if self.replies.read_from(&mut self.transport)? == 0 {
+                return Err(ClientError::Disconnected);
             }
-            self.buf.drain(..self.start);
-            self.start = 0;
-            let n = match self.transport.read(&mut self.chunk) {
-                Ok(0) => return Err(ClientError::Disconnected),
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ClientError::Io(e)),
-            };
-            self.buf.extend_from_slice(&self.chunk[..n]); // lint:allow(panic-reach) — n is the byte count read() just returned; n ≤ chunk.len() by the Read contract
         }
+        // `has_frame` held, so the frame is there.
+        self.replies.take_frame()?.ok_or(ClientError::Disconnected)
     }
 
-    /// Receives the reply to `seq`, surfacing server error frames as
-    /// [`ClientError::Server`].
-    fn recv_reply(&mut self, seq: u64) -> Result<(Frame, Message), ClientError> {
-        let frame = self.recv_frame()?;
-        if frame.seq != seq {
+    /// Receives the reply to `seq`, which should be of kind `want`, and
+    /// returns its payload, borrowed from the read buffer. An error frame
+    /// is [`ClientError::Server`]; any other kind is
+    /// [`ClientError::UnexpectedFrame`].
+    fn recv_reply(&mut self, seq: u64, want: FrameKind) -> Result<&[u8], ClientError> {
+        let (header, payload) = self.recv_frame()?;
+        if header.seq != seq {
             return Err(ClientError::SeqMismatch {
                 sent: seq,
-                got: frame.seq,
+                got: header.seq,
             });
         }
-        let msg = Message::from_frame(&frame)?;
-        if let Message::Error { code, detail } = msg {
-            return Err(ClientError::Server { code, detail });
+        if header.kind == want {
+            return Ok(payload);
         }
-        Ok((frame, msg))
+        Err(match Message::decode(header.kind, payload)? {
+            Message::Error { code, detail } => ClientError::Server { code, detail },
+            _ => ClientError::UnexpectedFrame { kind: header.kind },
+        })
+    }
+
+    /// One control round trip: sends a frame of kind `kind` on namespace
+    /// 0 and decodes its reply, which should be of kind `want`.
+    fn call(
+        &mut self,
+        kind: FrameKind,
+        put_payload: impl FnOnce(&mut Vec<u8>),
+        want: FrameKind,
+    ) -> Result<Message, ClientError> {
+        let seq = self.send(kind, 0, put_payload)?;
+        let payload = self.recv_reply(seq, want)?;
+        Ok(Message::decode(want, payload)?)
     }
 
     /// Sends one batch of queries and waits for its answers.
@@ -233,14 +249,12 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// Transport failures.
+    /// Transport failures, or [`WireError::Oversized`] for a batch too
+    /// large for one frame.
     pub fn send_query(&mut self, namespace: u32, queries: &[Query]) -> Result<u64, ClientError> {
-        self.send(
-            Message::Request {
-                queries: queries.to_vec(),
-            },
-            namespace,
-        )
+        self.send(FrameKind::Request, namespace, |out| {
+            wire::put_request_payload(out, queries)
+        })
     }
 
     /// Receives the answers to a previously sent request frame.
@@ -250,14 +264,8 @@ impl WireClient {
     /// Transport, protocol, or server failures; [`ClientError::SeqMismatch`]
     /// when replies are collected out of send order.
     pub fn recv_response(&mut self, seq: u64) -> Result<(u64, Vec<Response>), ClientError> {
-        let (frame, msg) = self.recv_reply(seq)?;
-        match msg {
-            Message::Response {
-                generation,
-                responses,
-            } => Ok((generation, responses)),
-            _ => Err(ClientError::UnexpectedFrame { kind: frame.kind }),
-        }
+        let payload = self.recv_reply(seq, FrameKind::Response)?;
+        Ok(wire::decode_response_payload(payload)?)
     }
 
     /// Installs (or hot-swaps) a snapshot image under `name`.
@@ -268,15 +276,12 @@ impl WireClient {
     /// [`ClientError::Server`] with [`ErrorCode::SnapshotRejected`] or
     /// [`ErrorCode::StoreRejected`].
     pub fn load(&mut self, name: &str, snapshot: &[u8]) -> Result<RemoteLoadInfo, ClientError> {
-        let seq = self.send(
-            Message::Load {
-                name: name.to_string(),
-                snapshot: snapshot.to_vec(),
-            },
-            0,
+        let reply = self.call(
+            FrameKind::Load,
+            |out| wire::put_load_payload(out, name, snapshot),
+            FrameKind::Loaded,
         )?;
-        let (frame, msg) = self.recv_reply(seq)?;
-        match msg {
+        match reply {
             Message::Loaded {
                 namespace,
                 generation,
@@ -288,7 +293,7 @@ impl WireClient {
                 aps,
                 cells,
             }),
-            _ => Err(ClientError::UnexpectedFrame { kind: frame.kind }),
+            other => Err(ClientError::UnexpectedFrame { kind: other.kind() }),
         }
     }
 
@@ -298,11 +303,9 @@ impl WireClient {
     ///
     /// Transport, protocol, or server failures.
     pub fn list(&mut self) -> Result<Vec<NamespaceInfo>, ClientError> {
-        let seq = self.send(Message::List, 0)?;
-        let (frame, msg) = self.recv_reply(seq)?;
-        match msg {
+        match self.call(FrameKind::List, |_| {}, FrameKind::Listing)? {
             Message::Listing { namespaces } => Ok(namespaces),
-            _ => Err(ClientError::UnexpectedFrame { kind: frame.kind }),
+            other => Err(ClientError::UnexpectedFrame { kind: other.kind() }),
         }
     }
 
@@ -312,11 +315,154 @@ impl WireClient {
     ///
     /// Transport, protocol, or server failures.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let seq = self.send(Message::Shutdown, 0)?;
-        let (frame, msg) = self.recv_reply(seq)?;
-        match msg {
+        match self.call(FrameKind::Shutdown, |_| {}, FrameKind::Bye)? {
             Message::Bye => Ok(()),
-            _ => Err(ClientError::UnexpectedFrame { kind: frame.kind }),
+            other => Err(ClientError::UnexpectedFrame { kind: other.kind() }),
         }
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use crate::wire::Frame;
+    use aerorem_propagation::ap::MacAddress;
+    use aerorem_spatial::Vec3;
+
+    const QUERY: Query = Query::BestAp {
+        pos: Vec3::new(1.0, 2.0, 0.5),
+    };
+
+    fn answers() -> Vec<Response> {
+        vec![Response::Best(Some((MacAddress::from_index(4), -51.25)))]
+    }
+
+    /// Sends one query from a client whose peer is scripted: the peer
+    /// reads the request frame, writes back the bytes `reply` makes of it,
+    /// `chunk` bytes per write, and hangs up.
+    fn query_scripted_peer(
+        chunk: usize,
+        reply: impl FnOnce(&Frame) -> Vec<u8> + Send + 'static,
+    ) -> Result<(u64, Vec<Response>), ClientError> {
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        let peer = std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            let mut byte = [0u8; 4096];
+            let request = loop {
+                if let Some((frame, _)) = Frame::decode_stream(&buf).expect("request frames") {
+                    break frame;
+                }
+                let n = theirs.read(&mut byte).expect("read request");
+                assert!(n > 0, "client hung up before its request was complete");
+                buf.extend_from_slice(&byte[..n]);
+            };
+            for piece in reply(&request).chunks(chunk) {
+                theirs.write_all(piece).expect("write reply");
+                std::thread::yield_now();
+            }
+        });
+        let mut client = WireClient::new(Transport::Uds(ours));
+        let result = client.query(3, &[QUERY]);
+        peer.join().expect("peer thread");
+        result
+    }
+
+    fn response_to(request: &Frame, seq: u64) -> Vec<u8> {
+        Message::Response {
+            generation: 7,
+            responses: answers(),
+        }
+        .into_frame(request.namespace, seq)
+        .encode()
+    }
+
+    #[test]
+    fn a_reply_written_one_byte_at_a_time_decodes() {
+        let got = query_scripted_peer(1, |request| {
+            assert_eq!(request.namespace, 3);
+            match Message::from_frame(request).expect("request payload") {
+                Message::Request { queries } => assert_eq!(queries, [QUERY]),
+                other => panic!("expected a request, got {other:?}"),
+            }
+            response_to(request, request.seq)
+        })
+        .expect("reply decodes");
+        assert_eq!(got, (7, answers()));
+    }
+
+    #[test]
+    fn a_reply_with_the_wrong_seq_is_a_seq_mismatch() {
+        let err = query_scripted_peer(usize::MAX, |request| response_to(request, request.seq + 1))
+            .expect_err("wrong seq");
+        assert!(
+            matches!(err, ClientError::SeqMismatch { sent: 1, got: 2 }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_listing_in_reply_to_a_query_is_an_unexpected_frame() {
+        let err = query_scripted_peer(usize::MAX, |request| {
+            Message::Listing { namespaces: vec![] }
+                .into_frame(0, request.seq)
+                .encode()
+        })
+        .expect_err("listing is not a response");
+        assert!(
+            matches!(
+                err,
+                ClientError::UnexpectedFrame {
+                    kind: FrameKind::Listing
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_error_frame_is_a_server_error() {
+        let err = query_scripted_peer(usize::MAX, |request| {
+            Message::Error {
+                code: ErrorCode::UnknownNamespace,
+                detail: "namespace 3 is not served".into(),
+            }
+            .into_frame(3, request.seq)
+            .encode()
+        })
+        .expect_err("error frame");
+        match err {
+            ClientError::Server { code, detail } => {
+                assert_eq!(code, ErrorCode::UnknownNamespace);
+                assert_eq!(detail, "namespace 3 is not served");
+            }
+            other => panic!("expected a server error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_is_a_payload_checksum_error() {
+        let err = query_scripted_peer(usize::MAX, |request| {
+            let mut bytes = response_to(request, request.seq);
+            if let Some(last) = bytes.last_mut() {
+                *last ^= 0x40;
+            }
+            bytes
+        })
+        .expect_err("corrupt payload");
+        assert!(
+            matches!(err, ClientError::Wire(WireError::PayloadChecksum)),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_peer_that_closes_mid_frame_is_a_disconnect() {
+        let err = query_scripted_peer(usize::MAX, |request| {
+            let mut bytes = response_to(request, request.seq);
+            bytes.truncate(bytes.len() - 3);
+            bytes
+        })
+        .expect_err("half a reply");
+        assert!(matches!(err, ClientError::Disconnected), "{err}");
     }
 }

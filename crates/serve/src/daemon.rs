@@ -40,7 +40,7 @@ use aerorem_numerics::ExecPolicy;
 
 use crate::query::{Query, Response};
 use crate::store::{RemStore, StoreConfig};
-use crate::wire::{ErrorCode, Frame, Message, NamespaceInfo};
+use crate::wire::{self, ErrorCode, FrameKind, Header, Message, NamespaceInfo, ReadBuf, WireError};
 
 /// How a [`Daemon`] executes batches and builds stores.
 #[derive(Debug, Clone, Copy, Default)]
@@ -445,203 +445,249 @@ impl Daemon {
 
     /// The per-connection request loop: read, frame, batch, reply.
     fn serve_connection<S: Read + Write>(&self, mut stream: S) {
-        let mut buf: Vec<u8> = Vec::new();
-        let mut chunk = vec![0u8; 64 * 1024];
+        let mut frames = ReadBuf::new();
         // A drain's replies are encoded here and sent with one write.
         let mut out: Vec<u8> = Vec::new();
+        let mut pending = Pending::default();
         loop {
             if self.shared.stop.load(Ordering::SeqCst) {
                 return;
             }
-            let n = match stream.read(&mut chunk) {
-                Ok(0) => return,
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            buf.extend_from_slice(&chunk[..n]); // lint:allow(panic-reach) — n is the byte count read() just returned; n ≤ chunk.len() by the Read contract
-
-            // Drain every complete frame the buffer holds — everything a
-            // pipelining client managed to get onto the wire before we
-            // looked — so consecutive requests coalesce into one batch.
-            let mut frames = Vec::new();
-            let mut consumed = 0;
-            let unframeable = loop {
-                let rest = &buf[consumed..]; // lint:allow(panic-reach) — consumed sums the lengths decode_stream returned for frames inside buf, so consumed ≤ buf.len()
-                match Frame::decode_stream(rest) {
-                    Ok(Some((frame, len))) => {
-                        consumed += len;
-                        frames.push(frame);
-                    }
-                    Ok(None) => break None,
-                    Err(e) => break Some(e),
-                }
-            };
-            buf.drain(..consumed);
-            if let Some(e) = unframeable {
-                // The stream is unsynchronized; one last typed error (seq
-                // u64::MAX: no request to echo), then hang up. Only this
-                // connection dies.
-                Message::Error {
-                    code: ErrorCode::BadPayload,
-                    detail: format!("unframeable input: {e}"),
-                }
-                .into_frame(0, u64::MAX)
-                .encode_into(&mut out);
-                let _ = write_replies(&mut stream, &mut out);
-                return;
+            match frames.read_from(&mut stream) {
+                Ok(0) | Err(_) => return,
+                Ok(_) => {}
             }
-            if self.process_frames(frames, &mut stream, &mut out).is_err() {
+            if self
+                .process_frames(&mut frames, &mut stream, &mut out, &mut pending)
+                .is_err()
+            {
                 return;
             }
         }
     }
 
-    /// Handles one drain's worth of frames. Consecutive request frames
-    /// are grouped by namespace and answered with one `submit_batch`
-    /// each; replies are encoded into `out` in frame arrival order and
-    /// written before each control frame and at the end of the drain.
-    /// `Err(())` means the connection should close (write failure or
-    /// shutdown).
+    /// Drains every complete frame the read buffer holds — everything a
+    /// pipelining client managed to get onto the wire before we looked —
+    /// decoding each in place. Consecutive request frames queue in
+    /// `pending` and are answered with one `submit_batch` per namespace;
+    /// replies are encoded into `out` in frame arrival order and written
+    /// before each control frame and at the end of the drain. `Err(())`
+    /// means the connection should close (unframeable input, a write
+    /// failure, or shutdown).
     fn process_frames<S: Write>(
         &self,
-        frames: Vec<Frame>,
+        frames: &mut ReadBuf,
         stream: &mut S,
         out: &mut Vec<u8>,
+        pending: &mut Pending,
     ) -> Result<(), ()> {
-        let mut pending: Vec<(u32, u64, Vec<Query>)> = Vec::new();
-        for frame in frames {
-            let msg = match Message::from_frame(&frame) {
-                Ok(msg) => msg,
+        loop {
+            let (header, payload) = match frames.take_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
                 Err(e) => {
-                    self.flush_requests(std::mem::take(&mut pending), out);
-                    Message::Error {
-                        code: ErrorCode::BadPayload,
-                        detail: format!("bad {:?} payload: {e}", frame.kind),
-                    }
-                    .into_frame(frame.namespace, frame.seq)
-                    .encode_into(out);
-                    continue;
+                    // The stream is unsynchronized: answer what came before,
+                    // then one last typed error (seq u64::MAX: no request to
+                    // echo), then hang up. Only this connection dies.
+                    self.flush_requests(pending, out);
+                    put_message(
+                        out,
+                        0,
+                        u64::MAX,
+                        &error(ErrorCode::BadPayload, format!("unframeable input: {e}")),
+                    );
+                    let _ = write_replies(stream, out);
+                    return Err(());
                 }
             };
-            match msg {
-                Message::Request { queries } => {
-                    pending.push((frame.namespace, frame.seq, queries));
+            if header.kind == FrameKind::Request {
+                if let Err(e) = pending.push(&header, payload) {
+                    self.flush_requests(pending, out);
+                    put_message(
+                        out,
+                        header.namespace,
+                        header.seq,
+                        &bad_payload(header.kind, e),
+                    );
                 }
-                other => {
-                    // A control frame is a barrier: everything queued ahead
-                    // of it is answered and sent first, so a slow `Load`
-                    // never holds back earlier replies.
-                    self.flush_requests(std::mem::take(&mut pending), out);
-                    write_replies(stream, out)?;
-                    self.handle_control(other, &frame, stream, out)?;
-                }
+                continue;
             }
+            // A control frame is a barrier: everything queued ahead of it
+            // is answered and sent first, so a slow `Load` never holds back
+            // earlier replies.
+            self.flush_requests(pending, out);
+            write_replies(stream, out)?;
+            self.handle_control(&header, payload, stream, out)?;
         }
         self.flush_requests(pending, out);
         write_replies(stream, out)
     }
 
-    /// Answers queued request frames: one `submit_batch` per namespace,
-    /// replies encoded into `out` in arrival order.
-    fn flush_requests(&self, pending: Vec<(u32, u64, Vec<Query>)>, out: &mut Vec<u8>) {
-        if pending.is_empty() {
-            return;
-        }
-        // Batch per namespace: concatenate each namespace's queries,
-        // answer once, then split responses back per originating frame.
-        let mut order: Vec<u32> = Vec::new();
-        for &(ns, _, _) in &pending {
-            if !order.contains(&ns) {
-                order.push(ns);
+    /// Answers the queued request frames: one `submit_batch` per
+    /// namespace, in first-arrival order, then each frame's reply encoded
+    /// into `out` in arrival order from its slice of the answers. A drain
+    /// that addresses one namespace answers the queued queries where they
+    /// lie; only a drain that mixes namespaces gathers each one's queries.
+    fn flush_requests(&self, pending: &mut Pending, out: &mut Vec<u8>) {
+        let Pending { queries, frames } = pending;
+        // Per namespace: its answers and how many of them replies have
+        // taken so far.
+        let mut answers: Vec<(u32, Answer, usize)> = Vec::new();
+        for &(ns, _, _) in frames.iter() {
+            if answers.iter().any(|&(seen, _, _)| seen == ns) {
+                continue;
             }
-        }
-        let mut replies: Vec<Option<Frame>> = (0..pending.len()).map(|_| None).collect();
-        for ns in order {
-            let members: Vec<usize> = pending
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.0 == ns)
-                .map(|(i, _)| i)
-                .collect();
-            let mut batch: Vec<Query> = Vec::new();
-            for &i in &members {
-                batch.extend(pending[i].2.iter().copied()); // lint:allow(panic-reach) — i comes from enumerate() over pending
-            }
-            match self.answer(ns, &batch) {
-                Ok((generation, mut responses)) => {
-                    for &i in members.iter().rev() {
-                        let tail = responses.split_off(responses.len() - pending[i].2.len()); // lint:allow(panic-reach) — i comes from enumerate() over pending; replies is built with pending's length
-                        replies[i] = Some(
-                            Message::Response {
-                                generation,
-                                responses: tail,
-                            }
-                            .into_frame(ns, pending[i].1), // lint:allow(panic-reach) — i comes from enumerate() over pending
-                        );
+            let answer = if frames.iter().all(|&(other, _, _)| other == ns) {
+                self.answer(ns, queries)
+            } else {
+                let mut batch = Vec::new();
+                let mut at = 0;
+                for &(other, _, n) in frames.iter() {
+                    if other == ns {
+                        batch.extend_from_slice(queries.get(at..at + n).unwrap_or_default());
                     }
+                    at += n;
                 }
-                Err((code, detail)) => {
-                    for &i in &members {
-                        replies[i] = Some( // lint:allow(panic-reach) — i comes from enumerate() over pending; replies is built with pending's length
-                            Message::Error {
-                                code,
-                                detail: detail.clone(),
-                            }
-                            .into_frame(ns, pending[i].1), // lint:allow(panic-reach) — i comes from enumerate() over pending
-                        );
+                self.answer(ns, &batch)
+            };
+            answers.push((ns, answer, 0));
+        }
+        for &(ns, seq, n) in frames.iter() {
+            let Some((_, answer, taken)) = answers.iter_mut().find(|(seen, _, _)| *seen == ns)
+            else {
+                continue;
+            };
+            let slots = *taken..*taken + n;
+            *taken += n;
+            match answer {
+                Ok((generation, responses)) => match responses.get(slots) {
+                    Some(mine) => put_reply(out, FrameKind::Response, ns, seq, |out| {
+                        wire::put_response_payload(out, *generation, mine)
+                    }),
+                    None => {
+                        let detail = "the engine returned fewer answers than queries";
+                        put_message(out, ns, seq, &error(ErrorCode::BatchFailed, detail.into()));
                     }
-                }
+                },
+                Err((code, detail)) => put_message(out, ns, seq, &error(*code, detail.clone())),
             }
         }
-        for reply in replies.into_iter().flatten() {
-            reply.encode_into(out);
-        }
+        queries.clear();
+        frames.clear();
     }
 
-    /// Handles one non-request message, encoding its reply into `out`.
-    /// A `Shutdown` writes `out` and its goodbye before hanging up.
+    /// Handles one non-request frame, encoding its reply into `out`. A
+    /// `Load` installs the image straight from the borrowed payload. A
+    /// `Shutdown` writes `out` and its goodbye before hanging up.
     fn handle_control<S: Write>(
         &self,
-        msg: Message,
-        frame: &Frame,
+        header: &Header,
+        payload: &[u8],
         stream: &mut S,
         out: &mut Vec<u8>,
     ) -> Result<(), ()> {
-        let reply = match msg {
-            Message::Load { name, snapshot } => match self.load(&name, &snapshot) {
-                Ok(info) => Message::Loaded {
-                    namespace: info.namespace,
-                    generation: info.generation,
-                    aps: info.aps,
-                    cells: info.cells,
-                },
-                Err(e) => Message::Error {
-                    code: match e {
-                        LoadError::Snapshot(_) => ErrorCode::SnapshotRejected,
-                        LoadError::Store(_) => ErrorCode::StoreRejected,
+        let reply = if header.kind == FrameKind::Load {
+            match wire::decode_load_payload(payload) {
+                Ok((name, image)) => match self.load(name, image) {
+                    Ok(info) => Message::Loaded {
+                        namespace: info.namespace,
+                        generation: info.generation,
+                        aps: info.aps,
+                        cells: info.cells,
                     },
-                    detail: e.to_string(),
+                    Err(e) => error(
+                        match e {
+                            LoadError::Snapshot(_) => ErrorCode::SnapshotRejected,
+                            LoadError::Store(_) => ErrorCode::StoreRejected,
+                        },
+                        e.to_string(),
+                    ),
                 },
-            },
-            Message::List => Message::Listing {
-                namespaces: self.listing(),
-            },
-            Message::Shutdown => {
-                Message::Bye.into_frame(0, frame.seq).encode_into(out);
-                write_replies(stream, out)?;
-                self.initiate_shutdown();
-                return Err(());
+                Err(e) => bad_payload(header.kind, e),
             }
-            // Server-to-client kinds arriving at the server are protocol
-            // misuse; answer with a typed error and keep the connection.
-            other => Message::Error {
-                code: ErrorCode::BadPayload,
-                detail: format!("frame kind {:?} is not a client request", other.kind()),
-            },
+        } else {
+            match Message::decode(header.kind, payload) {
+                Ok(Message::List) => Message::Listing {
+                    namespaces: self.listing(),
+                },
+                Ok(Message::Shutdown) => {
+                    put_message(out, 0, header.seq, &Message::Bye);
+                    write_replies(stream, out)?;
+                    self.initiate_shutdown();
+                    return Err(());
+                }
+                // Server-to-client kinds arriving at the server are
+                // protocol misuse; answer with a typed error and keep the
+                // connection.
+                Ok(other) => error(
+                    ErrorCode::BadPayload,
+                    format!("frame kind {:?} is not a client request", other.kind()),
+                ),
+                Err(e) => bad_payload(header.kind, e),
+            }
         };
-        reply.into_frame(frame.namespace, frame.seq).encode_into(out);
+        put_message(out, header.namespace, header.seq, &reply);
         Ok(())
+    }
+}
+
+/// A namespace's answers to one drain, or the error frame's code and
+/// detail.
+type Answer = Result<(u64, Vec<Response>), (ErrorCode, String)>;
+
+/// The request frames a drain has queued, decoded in place: every frame's
+/// queries appended to one vector that the connection reuses.
+#[derive(Default)]
+struct Pending {
+    /// The queued frames' queries, in arrival order.
+    queries: Vec<Query>,
+    /// (namespace, seq, query count) of each queued frame, in arrival
+    /// order.
+    frames: Vec<(u32, u64, usize)>,
+}
+
+impl Pending {
+    /// Queues one request frame's queries.
+    fn push(&mut self, header: &Header, payload: &[u8]) -> Result<(), WireError> {
+        let n = wire::decode_request_into(payload, &mut self.queries)?;
+        self.frames.push((header.namespace, header.seq, n));
+        Ok(())
+    }
+}
+
+/// An error frame's message.
+fn error(code: ErrorCode, detail: String) -> Message {
+    Message::Error { code, detail }
+}
+
+/// The reply to a frame whose payload does not decode as its kind.
+fn bad_payload(kind: FrameKind, e: WireError) -> Message {
+    error(ErrorCode::BadPayload, format!("bad {kind:?} payload: {e}"))
+}
+
+/// Appends `msg` to `out` as one reply frame.
+fn put_message(out: &mut Vec<u8>, namespace: u32, seq: u64, msg: &Message) {
+    put_reply(out, msg.kind(), namespace, seq, |out| msg.put_payload(out));
+}
+
+/// Appends one reply frame whose payload `put_payload` writes. A reply
+/// too large for one frame is answered with a `BatchFailed` error frame
+/// instead, whose capped detail always fits.
+fn put_reply(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    namespace: u32,
+    seq: u64,
+    put_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    if let Err(e) = wire::write_frame(out, kind, namespace, seq, put_payload) {
+        let too_large = error(
+            ErrorCode::BatchFailed,
+            format!("the reply does not fit in one frame: {e}"),
+        );
+        let _always_fits = wire::write_frame(out, FrameKind::Error, namespace, seq, |out| {
+            too_large.put_payload(out)
+        });
     }
 }
 

@@ -15,6 +15,7 @@
 
 use std::fmt;
 
+use aerorem_core::rem::RemGrid;
 use aerorem_core::snapshot::RemSnapshot;
 use aerorem_propagation::ap::MacAddress;
 use aerorem_spatial::octree::{BoxStats, VoxelLayout, VoxelOctree};
@@ -96,7 +97,8 @@ pub struct RemStore {
 }
 
 impl RemStore {
-    /// Ingests a snapshot.
+    /// Ingests a snapshot, copying its values once; the daemon's loads
+    /// build from the decoded snapshot by value instead.
     ///
     /// All grids must share one volume and one lattice shape, and carry
     /// distinct MAC addresses. Grids are re-sorted by MAC so AP iteration
@@ -108,28 +110,32 @@ impl RemStore {
     /// Returns the specific [`StoreError`] for empty snapshots, shape
     /// mismatches or duplicate MACs.
     pub fn build(snapshot: &RemSnapshot, _config: StoreConfig) -> Result<Self, StoreError> {
-        let grids = snapshot.grids();
-        let first = grids.first().ok_or(StoreError::EmptySnapshot)?;
-        for (index, g) in grids.iter().enumerate() {
-            if g.lattice() != first.lattice() {
-                return Err(StoreError::MismatchedGrid { index });
-            }
+        Self::from_snapshot(snapshot.clone())
+    }
+
+    /// Ingests a snapshot by value: each AP's values move into its octree
+    /// without a copy. Validates as [`RemStore::build`] does.
+    pub(crate) fn from_snapshot(snapshot: RemSnapshot) -> Result<Self, StoreError> {
+        let mut grids: Vec<(usize, RemGrid)> =
+            snapshot.into_grids().into_iter().enumerate().collect();
+        let layout = *grids.first().ok_or(StoreError::EmptySnapshot)?.1.lattice();
+        if let Some((index, _)) = grids.iter().find(|(_, g)| *g.lattice() != layout) {
+            return Err(StoreError::MismatchedGrid { index: *index });
         }
-        let mut order: Vec<usize> = (0..grids.len()).collect();
-        order.sort_by_key(|&i| grids[i].mac().octets());
-        for w in order.windows(2) {
-            if grids[w[0]].mac() == grids[w[1]].mac() {
-                return Err(StoreError::DuplicateMac(grids[w[0]].mac()));
-            }
+        grids.sort_by_key(|(_, g)| g.mac().octets());
+        if let Some(pair) = grids
+            .windows(2)
+            .find(|pair| pair[0].1.mac() == pair[1].1.mac())
+        {
+            return Err(StoreError::DuplicateMac(pair[0].1.mac()));
         }
 
-        let layout = *first.lattice();
-        let macs: Vec<MacAddress> = order.iter().map(|&i| grids[i].mac()).collect();
-        let octrees: Vec<VoxelOctree> = order
-            .iter()
-            .map(|&i| {
-                VoxelOctree::build(layout, grids[i].values().to_vec())
-                    .ok_or(StoreError::MismatchedGrid { index: i })
+        let macs: Vec<MacAddress> = grids.iter().map(|(_, g)| g.mac()).collect();
+        let octrees: Vec<VoxelOctree> = grids
+            .into_iter()
+            .map(|(index, g)| {
+                VoxelOctree::build(layout, g.into_values())
+                    .ok_or(StoreError::MismatchedGrid { index })
             })
             .collect::<Result<_, _>>()?;
 
@@ -243,7 +249,6 @@ impl RemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aerorem_core::rem::RemGrid;
 
     fn synth_grid(mac_index: u32, dims: (usize, usize, usize), phase: f64) -> RemGrid {
         let (nx, ny, nz) = dims;

@@ -17,10 +17,19 @@
 //! path is a typed [`WireError`] — never a panic (test-enforced over
 //! single-byte flips, truncations, and oversized lengths in
 //! `tests/wire.rs`).
+//!
+//! The daemon and the client copy each frame once. Received frames are
+//! decoded in place from the connection's read buffer, into which the
+//! socket reads directly; outgoing frames are encoded straight into the
+//! connection's write buffer by one header writer around the same payload
+//! writers [`Message::into_frame`] uses. The owned [`Frame`]/[`Message`]
+//! API wraps that code for callers outside the crate; its only extra copy
+//! is the owned value it returns.
 
 use std::fmt;
+use std::io::{self, Read};
 
-use aerorem_numerics::codec::{crc32, ByteReader, ByteWriter, CodecError};
+use aerorem_numerics::codec::{crc32, ByteReader, CodecError};
 use aerorem_propagation::ap::MacAddress;
 use aerorem_spatial::octree::BoxStats;
 use aerorem_spatial::{Aabb, Vec3};
@@ -242,7 +251,10 @@ impl From<CodecError> for WireError {
 /// One frame: the header's routing fields plus the raw payload bytes.
 ///
 /// [`Frame::encode`] and the decode functions are exact inverses; the
-/// payload is opaque at this layer — [`Message`] gives it meaning.
+/// payload is opaque at this layer — [`Message`] gives it meaning. The
+/// daemon and [`crate::WireClient`] never build one: they decode frames in
+/// place from their read buffers and encode straight into their write
+/// buffers, through the same header and payload code these methods wrap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// What the payload carries.
@@ -265,34 +277,11 @@ impl Frame {
     /// and must keep them under the protocol cap.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(FRAME_HEADER_LEN + self.payload.len());
-        self.encode_into(&mut out);
+        let written = write_frame(&mut out, self.kind, self.namespace, self.seq, |out| {
+            out.extend_from_slice(&self.payload)
+        });
+        assert!(written.is_ok(), "payload exceeds the protocol cap");
         out
-    }
-
-    /// Appends the encoded frame to `out`, so several frames can go out
-    /// in one write.
-    ///
-    /// # Panics
-    ///
-    /// As [`Frame::encode`].
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        assert!(
-            self.payload.len() <= MAX_PAYLOAD as usize,
-            "payload exceeds the protocol cap"
-        );
-        let mut w = ByteWriter::with_capacity(FRAME_HEADER_LEN);
-        w.put_bytes(&WIRE_MAGIC);
-        w.put_u16(WIRE_VERSION);
-        w.put_u8(self.kind as u8);
-        w.put_u8(0); // flags, reserved
-        w.put_u32(self.namespace);
-        w.put_u64(self.seq);
-        w.put_u32(self.payload.len() as u32);
-        w.put_u32(crc32(&self.payload));
-        let header_crc = crc32(w.as_slice());
-        w.put_u32(header_crc);
-        out.extend_from_slice(w.as_slice());
-        out.extend_from_slice(&self.payload);
     }
 
     /// Decodes one frame from the front of a stream buffer.
@@ -310,27 +299,17 @@ impl Frame {
     /// oversized declared length fails **before** waiting for (or
     /// allocating) payload bytes.
     pub fn decode_stream(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
-        if buf.len() < FRAME_HEADER_LEN {
-            return Ok(None);
-        }
-        let header = Self::check_header(buf)?;
-        let total = FRAME_HEADER_LEN + header.payload_len as usize;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        let payload = &buf[FRAME_HEADER_LEN..total]; // lint:allow(panic-reach) — the two guards above return Ok(None) unless buf.len() ≥ total ≥ FRAME_HEADER_LEN
-        if crc32(payload) != header.payload_crc {
-            return Err(WireError::PayloadChecksum);
-        }
-        Ok(Some((
-            Frame {
-                kind: header.kind,
-                namespace: header.namespace,
-                seq: header.seq,
-                payload: payload.to_vec(),
-            },
-            total,
-        )))
+        Ok(next_frame(buf)?.map(|(header, payload)| {
+            (
+                Frame {
+                    kind: header.kind,
+                    namespace: header.namespace,
+                    seq: header.seq,
+                    payload: payload.to_vec(),
+                },
+                header.frame_len(),
+            )
+        }))
     }
 
     /// Decodes a buffer that must hold exactly one frame.
@@ -353,60 +332,214 @@ impl Frame {
             })),
         }
     }
+}
 
-    /// Validates the 32 header bytes at the front of `buf` (which must be
-    /// at least [`FRAME_HEADER_LEN`] long) and extracts its fields.
+/// A validated frame header's fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Header {
+    pub(crate) kind: FrameKind,
+    pub(crate) namespace: u32,
+    pub(crate) seq: u64,
+    payload_len: u32,
+    payload_crc: u32,
+}
+
+impl Header {
+    /// Validates the 32 header bytes at the front of `buf` and extracts
+    /// its fields; `Ok(None)` while fewer than [`FRAME_HEADER_LEN`] bytes
+    /// are buffered. The only header parser.
     ///
     /// Order matters for typed rejection: magic and version are checked
     /// literally first (they identify the protocol), then the header CRC
     /// (so a flip in *any* other header byte is `HeaderChecksum`), and
     /// only then the semantic validity of checksum-correct fields.
-    fn check_header(buf: &[u8]) -> Result<Header, WireError> {
-        let magic: [u8; 4] = buf[0..4].try_into().expect("4-byte slice"); // lint:allow(panic-reach) — a 4-byte range into a [u8; 4] cannot fail; callers guarantee FRAME_HEADER_LEN bytes
+    fn parse(buf: &[u8]) -> Result<Option<Header>, WireError> {
+        let Some(h) = buf.first_chunk::<FRAME_HEADER_LEN>() else {
+            return Ok(None);
+        };
+        let magic = [h[0], h[1], h[2], h[3]];
         if magic != WIRE_MAGIC {
             return Err(WireError::BadMagic { found: magic });
         }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
+        let version = u16::from_le_bytes([h[4], h[5]]);
         if version != WIRE_VERSION {
             return Err(WireError::UnsupportedVersion { found: version });
         }
-        let declared_crc = u32::from_le_bytes([buf[28], buf[29], buf[30], buf[31]]);
-        if crc32(&buf[..28]) != declared_crc {
+        let declared_crc = u32::from_le_bytes([h[28], h[29], h[30], h[31]]);
+        if crc32(&h[..28]) != declared_crc {
             return Err(WireError::HeaderChecksum);
         }
-        let kind = FrameKind::from_u8(buf[6]).ok_or(WireError::BadKind { found: buf[6] })?;
-        if buf[7] != 0 {
-            return Err(WireError::BadFlags { found: buf[7] });
+        let kind = FrameKind::from_u8(h[6]).ok_or(WireError::BadKind { found: h[6] })?;
+        if h[7] != 0 {
+            return Err(WireError::BadFlags { found: h[7] });
         }
-        let namespace = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        let seq = u64::from_le_bytes([
-            buf[12], buf[13], buf[14], buf[15], buf[16], buf[17], buf[18], buf[19],
-        ]);
-        let payload_len = u32::from_le_bytes([buf[20], buf[21], buf[22], buf[23]]);
+        let namespace = u32::from_le_bytes([h[8], h[9], h[10], h[11]]);
+        let seq = u64::from_le_bytes([h[12], h[13], h[14], h[15], h[16], h[17], h[18], h[19]]);
+        let payload_len = u32::from_le_bytes([h[20], h[21], h[22], h[23]]);
         if payload_len > MAX_PAYLOAD {
             return Err(WireError::Oversized {
                 declared: payload_len as u64,
                 max: MAX_PAYLOAD as u64,
             });
         }
-        let payload_crc = u32::from_le_bytes([buf[24], buf[25], buf[26], buf[27]]);
-        Ok(Header {
+        let payload_crc = u32::from_le_bytes([h[24], h[25], h[26], h[27]]);
+        Ok(Some(Header {
             kind,
             namespace,
             seq,
             payload_len,
             payload_crc,
-        })
+        }))
+    }
+
+    /// Header plus payload bytes.
+    fn frame_len(&self) -> usize {
+        FRAME_HEADER_LEN + self.payload_len as usize
     }
 }
 
-/// A validated frame header's fields.
-struct Header {
+/// Decodes the frame at the front of `buf` in place: its header and its
+/// CRC-checked payload, borrowed from `buf`. `Ok(None)` while the frame is
+/// incomplete; a malformed header fails as soon as its 32 bytes are there.
+fn next_frame(buf: &[u8]) -> Result<Option<(Header, &[u8])>, WireError> {
+    let Some(header) = Header::parse(buf)? else {
+        return Ok(None);
+    };
+    let Some(payload) = buf.get(FRAME_HEADER_LEN..header.frame_len()) else {
+        return Ok(None);
+    };
+    if crc32(payload) != header.payload_crc {
+        return Err(WireError::PayloadChecksum);
+    }
+    Ok(Some((header, payload)))
+}
+
+/// Appends one frame to `out`: `put_payload` appends the payload straight
+/// after a reserved header, which is then filled in. The only header
+/// writer.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] when the payload exceeds [`MAX_PAYLOAD`];
+/// `out` is then left as it was.
+pub(crate) fn write_frame(
+    out: &mut Vec<u8>,
     kind: FrameKind,
     namespace: u32,
     seq: u64,
-    payload_len: u32,
-    payload_crc: u32,
+    put_payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    put_payload(out);
+    let payload = out.get(start + FRAME_HEADER_LEN..).unwrap_or_default();
+    let Some(payload_len) = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_PAYLOAD)
+    else {
+        let declared = payload.len() as u64;
+        out.truncate(start);
+        return Err(WireError::Oversized {
+            declared,
+            max: MAX_PAYLOAD as u64,
+        });
+    };
+    let mut h = [0u8; FRAME_HEADER_LEN];
+    h[0..4].copy_from_slice(&WIRE_MAGIC);
+    h[4..6].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+    h[6] = kind as u8;
+    // h[7]: flags, reserved zero.
+    h[8..12].copy_from_slice(&namespace.to_le_bytes());
+    h[12..20].copy_from_slice(&seq.to_le_bytes());
+    h[20..24].copy_from_slice(&payload_len.to_le_bytes());
+    h[24..28].copy_from_slice(&crc32(payload).to_le_bytes());
+    let header_crc = crc32(&h[..28]);
+    h[28..32].copy_from_slice(&header_crc.to_le_bytes());
+    if let Some(slot) = out.get_mut(start..start + FRAME_HEADER_LEN) {
+        slot.copy_from_slice(&h);
+    }
+    Ok(())
+}
+
+/// Read-buffer size a connection starts with; it doubles whenever a frame
+/// does not fit.
+const READ_BUF_LEN: usize = 64 * 1024;
+
+/// A connection's read buffer. Reads land straight in it and frames are
+/// decoded from it in place, so every received byte is copied once, by
+/// the kernel.
+pub(crate) struct ReadBuf {
+    bytes: Vec<u8>,
+    /// `bytes[start..end]` has been read and not yet consumed.
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuf {
+    pub(crate) fn new() -> ReadBuf {
+        ReadBuf {
+            bytes: vec![0; READ_BUF_LEN],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Whether the unread bytes begin with a whole frame.
+    ///
+    /// # Errors
+    ///
+    /// A malformed header, as soon as its 32 bytes are buffered.
+    pub(crate) fn has_frame(&self) -> Result<bool, WireError> {
+        let unread = self.unread();
+        Ok(Header::parse(unread)?.is_some_and(|h| h.frame_len() <= unread.len()))
+    }
+
+    /// Decodes the frame at the front of the unread bytes in place and
+    /// consumes it; `Ok(None)` while it is incomplete.
+    ///
+    /// # Errors
+    ///
+    /// A malformed header or a payload checksum mismatch.
+    pub(crate) fn take_frame(&mut self) -> Result<Option<(Header, &[u8])>, WireError> {
+        let unread = self.bytes.get(self.start..self.end).unwrap_or_default();
+        let frame = next_frame(unread)?;
+        if let Some((header, _)) = &frame {
+            self.start += header.frame_len();
+        }
+        Ok(frame)
+    }
+
+    /// Reads once from `r` into the buffer and returns the byte count, 0
+    /// when the peer has closed. Unread bytes move to the front first, and
+    /// the buffer doubles when they fill it, so it grows with the bytes a
+    /// frame has actually sent, never with the length it declares.
+    ///
+    /// # Errors
+    ///
+    /// The transport's, except `Interrupted`, which is retried.
+    pub(crate) fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.start > 0 {
+            self.bytes.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.bytes.len() {
+            self.bytes.resize(2 * self.bytes.len(), 0);
+        }
+        let free = self.bytes.get_mut(self.end..).unwrap_or_default();
+        let n = loop {
+            match r.read(free) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                read => break read?.min(free.len()),
+            }
+        };
+        self.end += n;
+        Ok(n)
+    }
+
+    fn unread(&self) -> &[u8] {
+        self.bytes.get(self.start..self.end).unwrap_or_default()
+    }
 }
 
 /// One row of a [`Message::Listing`].
@@ -498,63 +631,52 @@ impl Message {
     /// Encodes the message into a frame addressed at `namespace` with
     /// correlation id `seq`.
     pub fn into_frame(self, namespace: u32, seq: u64) -> Frame {
-        let mut w = ByteWriter::new();
-        let kind = self.kind();
+        let mut payload = Vec::new();
+        self.put_payload(&mut payload);
+        Frame {
+            kind: self.kind(),
+            namespace,
+            seq,
+            payload,
+        }
+    }
+
+    /// Appends the message's payload to `out`.
+    pub(crate) fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Message::Request { queries } => {
-                w.put_u32(queries.len() as u32);
-                for q in &queries {
-                    encode_query(&mut w, q);
-                }
-            }
+            Message::Request { queries } => put_request_payload(out, queries),
             Message::Response {
                 generation,
                 responses,
-            } => {
-                w.put_u64(generation);
-                w.put_u32(responses.len() as u32);
-                for r in &responses {
-                    encode_response(&mut w, r);
-                }
-            }
+            } => put_response_payload(out, *generation, responses),
             Message::Error { code, detail } => {
-                w.put_u16(code as u16);
-                let mut detail = detail.into_bytes();
-                detail.truncate(MAX_ERROR_DETAIL);
-                w.put_len_bytes(&detail);
+                put_u16(out, *code as u16);
+                let detail = detail.as_bytes();
+                put_len_bytes(out, detail.get(..MAX_ERROR_DETAIL).unwrap_or(detail));
             }
-            Message::Load { name, snapshot } => {
-                w.put_len_bytes(name.as_bytes());
-                w.put_len_bytes(&snapshot);
-            }
+            Message::Load { name, snapshot } => put_load_payload(out, name, snapshot),
             Message::Loaded {
                 namespace,
                 generation,
                 aps,
                 cells,
             } => {
-                w.put_u32(namespace);
-                w.put_u64(generation);
-                w.put_u32(aps);
-                w.put_u64(cells);
+                put_u32(out, *namespace);
+                put_u64(out, *generation);
+                put_u32(out, *aps);
+                put_u64(out, *cells);
             }
             Message::List | Message::Shutdown | Message::Bye => {}
             Message::Listing { namespaces } => {
-                w.put_u32(namespaces.len() as u32);
-                for ns in &namespaces {
-                    w.put_u32(ns.id);
-                    w.put_u64(ns.generation);
-                    w.put_u32(ns.aps);
-                    w.put_u64(ns.cells);
-                    w.put_len_bytes(ns.name.as_bytes());
+                put_u32(out, namespaces.len() as u32);
+                for ns in namespaces {
+                    put_u32(out, ns.id);
+                    put_u64(out, ns.generation);
+                    put_u32(out, ns.aps);
+                    put_u64(out, ns.cells);
+                    put_len_bytes(out, ns.name.as_bytes());
                 }
             }
-        }
-        Frame {
-            kind,
-            namespace,
-            seq,
-            payload: w.into_bytes(),
         }
     }
 
@@ -567,27 +689,31 @@ impl Message {
     /// structure, and the payload-specific variants (bad tags, presence
     /// bytes, bounds, names, error codes) for semantic rejects.
     pub fn from_frame(frame: &Frame) -> Result<Message, WireError> {
-        let mut r = ByteReader::new(&frame.payload);
-        let msg = match frame.kind {
+        Message::decode(frame.kind, &frame.payload)
+    }
+
+    /// Decodes a payload of kind `kind`, as [`Message::from_frame`] does.
+    pub(crate) fn decode(kind: FrameKind, payload: &[u8]) -> Result<Message, WireError> {
+        let mut r = ByteReader::new(payload);
+        let msg = match kind {
             FrameKind::Request => {
-                let count = r.take_u32()? as usize;
-                let mut queries = Vec::with_capacity(count.min(PREALLOC_CLAMP));
-                for _ in 0..count {
-                    queries.push(decode_query(&mut r)?);
-                }
-                Message::Request { queries }
+                let mut queries = Vec::new();
+                decode_request_into(payload, &mut queries)?;
+                return Ok(Message::Request { queries });
             }
             FrameKind::Response => {
-                let generation = r.take_u64()?;
-                let count = r.take_u32()? as usize;
-                let mut responses = Vec::with_capacity(count.min(PREALLOC_CLAMP));
-                for _ in 0..count {
-                    responses.push(decode_response(&mut r)?);
-                }
-                Message::Response {
+                let (generation, responses) = decode_response_payload(payload)?;
+                return Ok(Message::Response {
                     generation,
                     responses,
-                }
+                });
+            }
+            FrameKind::Load => {
+                let (name, snapshot) = decode_load_payload(payload)?;
+                return Ok(Message::Load {
+                    name: name.to_string(),
+                    snapshot: snapshot.to_vec(),
+                });
             }
             FrameKind::Error => {
                 let raw = r.take_u16()?;
@@ -597,11 +723,6 @@ impl Message {
                 let detail =
                     String::from_utf8(detail.to_vec()).map_err(|_| WireError::BadName)?;
                 Message::Error { code, detail }
-            }
-            FrameKind::Load => {
-                let name = take_name(&mut r)?;
-                let snapshot = r.take_len_bytes(MAX_PAYLOAD as usize)?.to_vec();
-                Message::Load { name, snapshot }
             }
             FrameKind::Loaded => Message::Loaded {
                 namespace: r.take_u32()?,
@@ -618,7 +739,7 @@ impl Message {
                     let generation = r.take_u64()?;
                     let aps = r.take_u32()?;
                     let cells = r.take_u64()?;
-                    let name = take_name(&mut r)?;
+                    let name = take_name(&mut r)?.to_string();
                     namespaces.push(NamespaceInfo {
                         id,
                         generation,
@@ -632,37 +753,143 @@ impl Message {
             FrameKind::Shutdown => Message::Shutdown,
             FrameKind::Bye => Message::Bye,
         };
-        if !r.is_empty() {
-            return Err(WireError::TrailingBytes {
-                extra: r.remaining(),
-            });
-        }
+        expect_end(&r)?;
         Ok(msg)
     }
 }
 
+/// Appends a `Request` payload: the query count, then one record per
+/// query.
+pub(crate) fn put_request_payload(out: &mut Vec<u8>, queries: &[Query]) {
+    out.reserve(4 + queries.len() * QUERY_RECORD_MAX);
+    put_u32(out, queries.len() as u32);
+    for q in queries {
+        put_query(out, q);
+    }
+}
+
+/// Decodes a `Request` payload in place, appending its queries to
+/// `queries`, and returns how many it held. On error `queries` is left as
+/// it was.
+pub(crate) fn decode_request_into(
+    payload: &[u8],
+    queries: &mut Vec<Query>,
+) -> Result<usize, WireError> {
+    let before = queries.len();
+    let decoded = take_queries(payload, queries);
+    if decoded.is_err() {
+        queries.truncate(before);
+    }
+    decoded
+}
+
+fn take_queries(payload: &[u8], queries: &mut Vec<Query>) -> Result<usize, WireError> {
+    let mut r = ByteReader::new(payload);
+    let count = r.take_u32()? as usize;
+    queries.reserve(count.min(PREALLOC_CLAMP));
+    for _ in 0..count {
+        queries.push(take_query(&mut r)?);
+    }
+    expect_end(&r)?;
+    Ok(count)
+}
+
+/// Appends a `Response` payload: the answering generation, the response
+/// count, then one record per response.
+pub(crate) fn put_response_payload(out: &mut Vec<u8>, generation: u64, responses: &[Response]) {
+    out.reserve(12 + responses.len() * RESPONSE_RECORD_MAX);
+    put_u64(out, generation);
+    put_u32(out, responses.len() as u32);
+    for resp in responses {
+        put_response(out, resp);
+    }
+}
+
+/// Decodes a `Response` payload in place into the answering generation and
+/// its responses.
+pub(crate) fn decode_response_payload(payload: &[u8]) -> Result<(u64, Vec<Response>), WireError> {
+    let mut r = ByteReader::new(payload);
+    let generation = r.take_u64()?;
+    let count = r.take_u32()? as usize;
+    let mut responses = Vec::with_capacity(count.min(PREALLOC_CLAMP));
+    for _ in 0..count {
+        responses.push(take_response(&mut r)?);
+    }
+    expect_end(&r)?;
+    Ok((generation, responses))
+}
+
+/// Appends a `Load` payload: the namespace name, then the snapshot image.
+pub(crate) fn put_load_payload(out: &mut Vec<u8>, name: &str, snapshot: &[u8]) {
+    out.reserve(8 + name.len() + snapshot.len());
+    put_len_bytes(out, name.as_bytes());
+    put_len_bytes(out, snapshot);
+}
+
+/// Decodes a `Load` payload in place: the namespace name and the snapshot
+/// image, both borrowed from `payload`.
+pub(crate) fn decode_load_payload(payload: &[u8]) -> Result<(&str, &[u8]), WireError> {
+    let mut r = ByteReader::new(payload);
+    let name = take_name(&mut r)?;
+    let snapshot = r.take_len_bytes(MAX_PAYLOAD as usize)?;
+    expect_end(&r)?;
+    Ok((name, snapshot))
+}
+
+/// Rejects bytes left after a payload's declared structure.
+fn expect_end(r: &ByteReader<'_>) -> Result<(), WireError> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(WireError::TrailingBytes {
+            extra: r.remaining(),
+        })
+    }
+}
+
 /// Reads a length-prefixed, cap-checked, UTF-8 name.
-fn take_name(r: &mut ByteReader<'_>) -> Result<String, WireError> {
+fn take_name<'a>(r: &mut ByteReader<'a>) -> Result<&'a str, WireError> {
     let bytes = match r.take_len_bytes(MAX_NAME) {
         Ok(b) => b,
         Err(CodecError::OverlongField { .. }) => return Err(WireError::BadName),
         Err(e) => return Err(WireError::Truncated(e)),
     };
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadName)
+    std::str::from_utf8(bytes).map_err(|_| WireError::BadName)
 }
 
-fn put_vec3(w: &mut ByteWriter, v: Vec3) {
-    w.put_f64(v.x);
-    w.put_f64(v.y);
-    w.put_f64(v.z);
+fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Floats travel as their raw IEEE-754 bits.
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// A `u32` byte count, then the bytes. A count over `u32::MAX` would
+/// truncate, but its payload exceeds [`MAX_PAYLOAD`] and [`write_frame`]
+/// rejects the frame; the same holds for the record counts.
+fn put_len_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+
+fn put_vec3(out: &mut Vec<u8>, v: Vec3) {
+    put_f64(out, v.x);
+    put_f64(out, v.y);
+    put_f64(out, v.z);
 }
 
 fn take_vec3(r: &mut ByteReader<'_>) -> Result<Vec3, CodecError> {
     Ok(Vec3::new(r.take_f64()?, r.take_f64()?, r.take_f64()?))
-}
-
-fn put_mac(w: &mut ByteWriter, mac: MacAddress) {
-    w.put_bytes(&mac.octets());
 }
 
 fn take_mac(r: &mut ByteReader<'_>) -> Result<MacAddress, CodecError> {
@@ -676,34 +903,37 @@ const QUERY_BEST_AP: u8 = 2;
 const QUERY_BOX_STATS: u8 = 3;
 const QUERY_COVERAGE: u8 = 4;
 
-/// Encodes one query record (tag byte + fields).
-pub(crate) fn encode_query(w: &mut ByteWriter, q: &Query) {
+/// The longest query record, a box-stats one: tag, two corners, MAC.
+const QUERY_RECORD_MAX: usize = 1 + 48 + 6;
+
+/// Appends one query record (tag byte + fields).
+fn put_query(out: &mut Vec<u8>, q: &Query) {
     match *q {
         Query::Point { pos, ap } => {
-            w.put_u8(QUERY_POINT);
-            put_vec3(w, pos);
-            put_mac(w, ap);
+            out.push(QUERY_POINT);
+            put_vec3(out, pos);
+            out.extend_from_slice(&ap.octets());
         }
         Query::BestAp { pos } => {
-            w.put_u8(QUERY_BEST_AP);
-            put_vec3(w, pos);
+            out.push(QUERY_BEST_AP);
+            put_vec3(out, pos);
         }
         Query::BoxStats { region, ap } => {
-            w.put_u8(QUERY_BOX_STATS);
-            put_vec3(w, region.min());
-            put_vec3(w, region.max());
-            put_mac(w, ap);
+            out.push(QUERY_BOX_STATS);
+            put_vec3(out, region.min());
+            put_vec3(out, region.max());
+            out.extend_from_slice(&ap.octets());
         }
         Query::Coverage { threshold_dbm, ap } => {
-            w.put_u8(QUERY_COVERAGE);
-            w.put_f64(threshold_dbm);
-            put_mac(w, ap);
+            out.push(QUERY_COVERAGE);
+            put_f64(out, threshold_dbm);
+            out.extend_from_slice(&ap.octets());
         }
     }
 }
 
 /// Decodes one query record.
-pub(crate) fn decode_query(r: &mut ByteReader<'_>) -> Result<Query, WireError> {
+fn take_query(r: &mut ByteReader<'_>) -> Result<Query, WireError> {
     let tag = r.take_u8()?;
     Ok(match tag {
         QUERY_POINT => Query::Point {
@@ -732,47 +962,50 @@ const RESPONSE_BEST: u8 = 2;
 const RESPONSE_STATS: u8 = 3;
 const RESPONSE_COVERED: u8 = 4;
 
-/// Encodes one response record (tag byte + fields; floats as raw bits).
-pub(crate) fn encode_response(w: &mut ByteWriter, resp: &Response) {
+/// The longest response record, a stats one: tag, three floats, a count.
+const RESPONSE_RECORD_MAX: usize = 1 + 32;
+
+/// Appends one response record (tag byte + fields; floats as raw bits).
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match *resp {
         Response::Value(v) => {
-            w.put_u8(RESPONSE_VALUE);
+            out.push(RESPONSE_VALUE);
             match v {
                 Some(x) => {
-                    w.put_u8(1);
-                    w.put_f64(x);
+                    out.push(1);
+                    put_f64(out, x);
                 }
-                None => w.put_u8(0),
+                None => out.push(0),
             }
         }
         Response::Best(best) => {
-            w.put_u8(RESPONSE_BEST);
+            out.push(RESPONSE_BEST);
             match best {
                 Some((mac, v)) => {
-                    w.put_u8(1);
-                    put_mac(w, mac);
-                    w.put_f64(v);
+                    out.push(1);
+                    out.extend_from_slice(&mac.octets());
+                    put_f64(out, v);
                 }
-                None => w.put_u8(0),
+                None => out.push(0),
             }
         }
         Response::Stats(s) => {
-            w.put_u8(RESPONSE_STATS);
-            w.put_f64(s.min);
-            w.put_f64(s.max);
-            w.put_f64(s.sum);
-            w.put_u64(s.count as u64);
+            out.push(RESPONSE_STATS);
+            put_f64(out, s.min);
+            put_f64(out, s.max);
+            put_f64(out, s.sum);
+            put_u64(out, s.count as u64);
         }
         Response::Covered { cells, fraction } => {
-            w.put_u8(RESPONSE_COVERED);
-            w.put_u64(cells as u64);
-            w.put_f64(fraction);
+            out.push(RESPONSE_COVERED);
+            put_u64(out, cells as u64);
+            put_f64(out, fraction);
         }
     }
 }
 
 /// Decodes one response record.
-pub(crate) fn decode_response(r: &mut ByteReader<'_>) -> Result<Response, WireError> {
+fn take_response(r: &mut ByteReader<'_>) -> Result<Response, WireError> {
     let tag = r.take_u8()?;
     Ok(match tag {
         RESPONSE_VALUE => Response::Value(match r.take_u8()? {
@@ -802,6 +1035,7 @@ pub(crate) fn decode_response(r: &mut ByteReader<'_>) -> Result<Response, WireEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aerorem_numerics::codec::ByteWriter;
 
     fn sample_queries() -> Vec<Query> {
         vec![
@@ -955,6 +1189,58 @@ mod tests {
         assert_eq!(consumed + consumed2, buf.len());
     }
 
+    /// Yields at most `step` of its bytes per read, as a slow peer does.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            let (head, rest) = self.bytes.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.bytes = rest;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn the_read_buffer_decodes_frames_in_place_whatever_the_read_sizes() {
+        // A frame three times the starting buffer between two small ones:
+        // the buffer compacts after the first and grows for the second.
+        let frames = [
+            Message::List.into_frame(0, 1),
+            Message::Load {
+                name: "big".into(),
+                snapshot: vec![0xA5; 3 * READ_BUF_LEN],
+            }
+            .into_frame(0, 2),
+            Message::Shutdown.into_frame(0, 3),
+        ];
+        let wire: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        for step in [1, 7, 4096, usize::MAX] {
+            let mut peer = Trickle { bytes: &wire, step };
+            let mut buf = ReadBuf::new();
+            let mut got = Vec::new();
+            loop {
+                while let Some((header, payload)) = buf.take_frame().unwrap() {
+                    got.push(Frame {
+                        kind: header.kind,
+                        namespace: header.namespace,
+                        seq: header.seq,
+                        payload: payload.to_vec(),
+                    });
+                }
+                if buf.read_from(&mut peer).unwrap() == 0 {
+                    break;
+                }
+            }
+            assert_eq!(got, frames, "step {step}");
+            assert!(!buf.has_frame().unwrap());
+        }
+    }
+
     #[test]
     fn oversized_declared_payload_fails_before_payload_bytes_arrive() {
         let mut bytes = Message::List.into_frame(0, 1).encode();
@@ -1007,13 +1293,13 @@ mod tests {
 
         // Inverted box bounds.
         let inverted = {
-            let mut w = ByteWriter::new();
-            w.put_u32(1);
-            w.put_u8(QUERY_BOX_STATS);
+            let mut w = Vec::new();
+            put_u32(&mut w, 1);
+            w.push(QUERY_BOX_STATS);
             put_vec3(&mut w, Vec3::new(1.0, 1.0, 1.0));
             put_vec3(&mut w, Vec3::new(0.0, 0.0, 0.0));
-            put_mac(&mut w, MacAddress::from_index(1));
-            w.into_bytes()
+            w.extend_from_slice(&MacAddress::from_index(1).octets());
+            w
         };
         let frame = Frame {
             kind: FrameKind::Request,

@@ -469,6 +469,81 @@ fn a_drain_mixing_frame_kinds_answers_in_send_order() {
 }
 
 #[test]
+fn a_drain_addressing_two_namespaces_answers_each_from_its_own_store() {
+    with_watchdog(30, || {
+        use aerorem::serve::{Frame, Message};
+        use std::io::Write;
+
+        let (daemon, handle, tcp_addr, _sock) =
+            start_daemon(ExecPolicy::Serial, &synthetic_snapshot(2, 0.0));
+        // A second namespace, and a hot-swap of the first, so the two
+        // serve different stores at different generations.
+        let mut client = WireClient::connect_tcp(&tcp_addr).expect("connect tcp");
+        let b = client
+            .load("building-b", &synthetic_snapshot(3, 5.0).to_bytes())
+            .expect("load b");
+        let a = client
+            .load("default", &synthetic_snapshot(2, 11.0).to_bytes())
+            .expect("hot-swap a");
+        assert_eq!((a.namespace, a.generation), (0, 2));
+        assert_eq!((b.namespace, b.generation), (1, 1));
+
+        // Every frame asks its own queries, in its own number, so a reply
+        // cut from the wrong slice of its namespace's answers cannot match.
+        let request = |namespace: u32, seq: u64| {
+            let mut queries = mixed_queries();
+            let len = queries.len();
+            queries.rotate_left(seq as usize % len);
+            queries.truncate(len - seq as usize % 3);
+            Message::Request { queries }.into_frame(namespace, seq)
+        };
+        let sent = [
+            request(a.namespace, 1),
+            request(b.namespace, 2),
+            request(a.namespace, 3),
+            request(b.namespace, 4),
+            Message::List.into_frame(0, 5),
+            request(a.namespace, 6),
+        ];
+        let wire: Vec<u8> = sent.iter().flat_map(Frame::encode).collect();
+
+        // One write, so the daemon finds the six frames queued together.
+        let mut stream = std::net::TcpStream::connect(&tcp_addr).expect("connect tcp");
+        stream.write_all(&wire).expect("send the frames");
+        let mut buf = Vec::new();
+        for frame in &sent {
+            let reply = read_frame(&mut stream, &mut buf);
+            assert_eq!(reply.seq, frame.seq);
+            match Message::from_frame(&reply).expect("reply payload decodes") {
+                Message::Response {
+                    generation,
+                    responses,
+                } => {
+                    let queries = match Message::from_frame(frame) {
+                        Ok(Message::Request { queries }) => queries,
+                        other => panic!("seq {} was not a request: {other:?}", frame.seq),
+                    };
+                    let (want_generation, want) = daemon
+                        .answer(frame.namespace, &queries)
+                        .expect("in-process answers");
+                    assert_eq!(generation, want_generation, "seq {}", frame.seq);
+                    assert_bit_identical(&responses, &want);
+                }
+                Message::Listing { namespaces } => {
+                    assert_eq!(frame.seq, 5);
+                    assert_eq!(namespaces.len(), 2);
+                }
+                other => panic!("seq {}: unexpected reply {other:?}", frame.seq),
+            }
+        }
+        assert!(buf.is_empty(), "exactly six replies");
+
+        client.shutdown().expect("daemon acknowledges shutdown");
+        handle.join();
+    });
+}
+
+#[test]
 fn shutdown_joins_while_a_client_is_mid_header() {
     with_watchdog(30, || {
         use aerorem::serve::wire::FRAME_HEADER_LEN;
