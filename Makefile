@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the full gate run in CI and
 # before every commit; the individual targets exist for quicker loops.
 
-.PHONY: check build lint lint-diff test doc clippy bench-build perfbench-check bench-check bench bench-diff timing faults faults-check serve-check serve-net-check examples-check
+.PHONY: check build lint lint-diff test doc clippy bench-build perfbench-check perfbench-pairs bench-check bench bench-diff timing faults faults-check serve-check serve-net-check examples-check
 
 check: build lint lint-diff test doc clippy bench-build perfbench-check bench-check faults-check serve-check serve-net-check examples-check
 
@@ -45,6 +45,16 @@ bench-build:
 # Both build with --locked, which leaves perfbench/Cargo.lock as committed.
 perfbench-check:
 	./scripts/perfbench_check
+
+# Alternating pairs of end-to-end benchmark runs, PARENT against HEAD (or
+# PERFBENCH_CHANGE), each side built once from its own export; prints each
+# metric's medians, quartiles and pairs won. Not part of `check`: ten
+# 30 s pairs take about ten minutes. Example:
+#   make perfbench-pairs PARENT=HEAD~1 WORKLOAD=wire_point SEED=9100
+PAIRS ?= 10
+RUN_SECONDS ?= 30
+perfbench-pairs:
+	./scripts/perfbench_pairs "$(PARENT)" "$(WORKLOAD)" "$(SEED)" "$(PAIRS)" "$(RUN_SECONDS)"
 
 # Smoke-sized run of the custom-harness benches: every bit-identity
 # assertion executes (including the PR-7 executor scaling sweep, the

@@ -66,6 +66,11 @@ impl VoxelLayout {
     /// Flat index of the cell containing (or nearest to) `p`, or `None`
     /// when `p` lies outside the volume. Boundary-inclusive, matching
     /// `RemGrid::sample`.
+    ///
+    /// `#[inline]`: the serving store calls this once per point query from
+    /// another crate, and a release build without LTO keeps an unmarked
+    /// cross-crate call out of line.
+    #[inline]
     pub fn cell_index_of(&self, p: Vec3) -> Option<usize> {
         if !self.volume.contains(p) {
             return None;

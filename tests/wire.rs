@@ -143,7 +143,7 @@ proptest! {
     #[test]
     fn request_frames_round_trip_bit_identically(
         seed in 0u64..300,
-        count in 0usize..24,
+        count in 0usize..=256,
         namespace in 0u32..16,
         seq in any::<u64>(),
     ) {
@@ -163,7 +163,7 @@ proptest! {
     #[test]
     fn response_frames_round_trip_bit_identically(
         seed in 0u64..300,
-        count in 0usize..24,
+        count in 0usize..=256,
         generation in any::<u64>(),
         seq in any::<u64>(),
     ) {
@@ -191,7 +191,7 @@ proptest! {
     #[test]
     fn any_single_byte_flip_is_rejected(
         seed in 0u64..150,
-        count in 1usize..8,
+        count in 1usize..=256,
         pos_frac in 0.0f64..1.0,
         mask in 1u8..=255,
     ) {
