@@ -190,10 +190,10 @@ fn parity_violation(path: &str, line: usize, snippet: &str, message: String) -> 
 }
 
 /// Extracts target/recipe names from a Makefile or justfile: non-indented
-/// lines of the form `name[ args]: …`. Assignments (`:=`), special targets
-/// (`.PHONY`), comments, and recipe bodies (indented) are skipped. The
-/// grammar overlap between the two formats is exactly what the parity rule
-/// needs — a name that parses here should exist in both files.
+/// lines of the form `name[ args]: …`. Assignments, settings (`set x :=`),
+/// special targets (`.PHONY`), comments, and recipe bodies (indented) are
+/// skipped. The grammar overlap between the two formats is exactly what the
+/// parity rule needs — a name that parses here should exist in both files.
 fn build_targets(text: &str) -> Vec<(String, usize, String)> {
     let mut out = Vec::new();
     for (idx, line) in text.lines().enumerate() {
@@ -206,20 +206,20 @@ fn build_targets(text: &str) -> Vec<(String, usize, String)> {
         let Some(colon) = line.find(':') else {
             continue;
         };
-        // `NAME := value` and `NAME ?= value` are assignments, not targets.
-        if line[colon..].starts_with(":=") || line[..colon].contains('=') {
-            continue;
-        }
-        let head = line[..colon].trim();
-        // Justfile recipes may take arguments (`bench-diff old new:`); the
-        // recipe name is the first word either way.
-        let Some(name) = head.split_whitespace().next() else {
-            continue;
-        };
-        if !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'))
-        {
+        // The first word names the recipe; justfile recipes may take
+        // parameters, with defaults (`bench-diff old new="HEAD":`).
+        let end = line
+            .find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.')))
+            .unwrap_or(line.len());
+        let (name, after) = line.split_at(end);
+        let word_ends = after.starts_with(|c: char| c.is_whitespace() || c == ':');
+        // `NAME = v`, `:=`, `?=`, `+=` and `!=` assign, whatever the value
+        // holds; a `:=` later in the line is a setting (`set shell :=`).
+        let rest = after.trim_start();
+        let assigns = ["=", ":=", "?=", "+=", "!="]
+            .iter()
+            .any(|op| rest.starts_with(op));
+        if name.is_empty() || !word_ends || assigns || line[colon..].starts_with(":=") {
             continue;
         }
         out.push((name.to_string(), idx + 1, line.to_string()));
@@ -239,6 +239,16 @@ mod tests {
             .map(|(n, _, _)| n)
             .collect();
         assert_eq!(names, ["check", "build"]);
+
+        // Each assignment form, with a value that holds a colon, and a
+        // recipe whose parameters have defaults.
+        let assignments = "A = x:y\nB:=x:y\nC ?= x:y\nD += x:y\nE != date +%H:%M\nF=x:y\n\
+                           pairs parent pairs=\"10\" seconds=\"30\":\n    true\n";
+        let names: Vec<String> = build_targets(assignments)
+            .into_iter()
+            .map(|(n, _, _)| n)
+            .collect();
+        assert_eq!(names, ["pairs"]);
     }
 
     #[test]

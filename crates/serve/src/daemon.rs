@@ -47,8 +47,8 @@ use crate::wire::{self, ErrorCode, FrameKind, Header, Message, NamespaceInfo, Re
 pub struct DaemonConfig {
     /// Execution policy for every [`RemStore::submit_batch`] call.
     pub policy: ExecPolicy,
-    /// Passed to [`RemStore::build`] for every snapshot this daemon
-    /// builds; [`StoreConfig`] has no settings.
+    /// [`StoreConfig`] has no settings, and the daemon reads none: each
+    /// load builds its store from the decoded snapshot by value.
     pub store: StoreConfig,
 }
 
@@ -244,8 +244,8 @@ impl Daemon {
     pub fn load(&self, name: &str, bytes: &[u8]) -> Result<LoadInfo, LoadError> {
         let snapshot =
             RemSnapshot::from_bytes(bytes).map_err(|e| LoadError::Snapshot(e.to_string()))?;
-        let store = RemStore::build(&snapshot, self.shared.config.store)
-            .map_err(|e| LoadError::Store(e.to_string()))?;
+        let store =
+            RemStore::from_snapshot(snapshot).map_err(|e| LoadError::Store(e.to_string()))?;
         let aps = store.macs().len() as u32;
         let cells = store.layout().cell_count() as u64;
 

@@ -9,6 +9,11 @@
 //! * **Region-shaped queries** (box statistics, coverage isosurfaces) run
 //!   on the octree, whose per-node aggregates prune whole subtrees.
 //!
+//! A query that names its AP finds it by binary search over 64-bit keys
+//! (`mac_key`), which compiles to a branch-free loop. The same search over
+//! `[u8; 6]` compares in two branching steps, and those branches
+//! mispredict when consecutive queries name different APs.
+//!
 //! The store is read-only after construction; every query is a pure
 //! function of (store, query), which is what makes batch execution
 //! trivially deterministic under either `ExecPolicy` arm.
@@ -87,6 +92,8 @@ pub struct RemStore {
     layout: VoxelLayout,
     /// Sorted ascending; index here is the AP index everywhere else.
     macs: Vec<MacAddress>,
+    /// `mac_key` of each of `macs`, in the same (ascending) order.
+    keys: Vec<u64>,
     /// Per-AP octrees, each owning that AP's row-major value array;
     /// aligned with `macs`.
     octrees: Vec<VoxelOctree>,
@@ -131,6 +138,7 @@ impl RemStore {
         }
 
         let macs: Vec<MacAddress> = grids.iter().map(|(_, g)| g.mac()).collect();
+        let keys = macs.iter().map(|&mac| mac_key(mac)).collect();
         let octrees: Vec<VoxelOctree> = grids
             .into_iter()
             .map(|(index, g)| {
@@ -142,6 +150,7 @@ impl RemStore {
         Ok(RemStore {
             layout,
             macs,
+            keys,
             octrees,
             #[cfg(test)]
             panic_mac: None,
@@ -165,10 +174,7 @@ impl RemStore {
 
     /// The octree, with its value array, of `mac`; `None` when unknown.
     fn tree(&self, mac: MacAddress) -> Option<&VoxelOctree> {
-        let i = self
-            .macs
-            .binary_search_by_key(&mac.octets(), |m| m.octets())
-            .ok()?;
+        let i = self.keys.binary_search(&mac_key(mac)).ok()?;
         self.octrees.get(i)
     }
 
@@ -246,9 +252,17 @@ impl RemStore {
     }
 }
 
+/// `mac`'s octets as a big-endian integer: keys order as the octets do,
+/// so the store's MAC order is also its key order.
+fn mac_key(mac: MacAddress) -> u64 {
+    let [a, b, c, d, e, f] = mac.octets();
+    u64::from_be_bytes([0, 0, a, b, c, d, e, f])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aerorem_numerics::ExecPolicy;
 
     fn synth_grid(mac_index: u32, dims: (usize, usize, usize), phase: f64) -> RemGrid {
         let (nx, ny, nz) = dims;
@@ -393,6 +407,109 @@ mod tests {
         }
         assert!(ties > 0, "the NaN lattice must exercise best-AP ties");
         assert_eq!(empty_cells, 2, "cells 0 and 105 of the NaN lattice");
+    }
+
+    /// Every query kind, by served and unknown MACs whose order under a
+    /// little-endian key differs from their octet order, answered as a
+    /// linear scan of the snapshot's grids and `RemGrid::sample` answer it.
+    #[test]
+    fn queries_find_their_ap_as_a_linear_mac_scan_does() {
+        let mac = |text: &str| text.parse::<MacAddress>().unwrap();
+        let dims = (7, 5, 3);
+        let served = [
+            "02:00:00:00:01:00",
+            "01:ff:00:00:00:00",
+            "02:00:00:00:00:01",
+        ];
+        // Whole-dBm values, so box sums are exact in any order; a NaN
+        // every fifth cell; every AP at -45 on each third cell, for ties.
+        let grids: Vec<RemGrid> = served
+            .iter()
+            .enumerate()
+            .map(|(k, text)| {
+                let values = (0..dims.0 * dims.1 * dims.2)
+                    .map(|i| match i {
+                        _ if (i + k).is_multiple_of(5) => f64::NAN,
+                        _ if i.is_multiple_of(3) => -45.0,
+                        _ => -40.0 - ((i * (k + 2)) % 23) as f64,
+                    })
+                    .collect();
+                RemGrid::from_parts(mac(text), Aabb::paper_volume(), dims, values).unwrap()
+            })
+            .collect();
+        let snap = RemSnapshot::new(grids).unwrap();
+        let store = RemStore::build(&snap, StoreConfig::default()).unwrap();
+        let layout = *store.layout();
+        let grid_of = |ap: MacAddress| snap.grids().iter().find(|g| g.mac() == ap);
+        let unknown = [
+            "00:00:00:00:00:00",
+            "01:ff:00:00:00:01",
+            "02:00:00:00:00:02",
+            "02:00:00:00:01:01",
+            "ff:ff:ff:ff:ff:ff",
+        ];
+        let aps: Vec<MacAddress> = served.iter().chain(&unknown).map(|t| mac(t)).collect();
+
+        let mut queries = Vec::new();
+        let mut want = Vec::new();
+        for cell in 0..layout.cell_count() {
+            let pos = layout.cell_center(cell);
+            for &ap in &aps {
+                queries.push(Query::Point { pos, ap });
+                let v = grid_of(ap).and_then(|g| g.sample(pos));
+                want.push(Response::Value(v.filter(|v| v.is_finite())));
+            }
+            let mut best: Option<(MacAddress, f64)> = None;
+            for g in snap.grids() {
+                let Some(v) = g.sample(pos).filter(|v| v.is_finite()) else {
+                    continue;
+                };
+                if best.is_none_or(|(m, bv)| v > bv || (v == bv && g.mac().octets() < m.octets())) {
+                    best = Some((g.mac(), v));
+                }
+            }
+            queries.push(Query::BestAp { pos });
+            want.push(Response::Best(best));
+        }
+        let regions = [
+            Aabb::paper_volume(),
+            Aabb::new(Vec3::new(0.4, 0.4, 0.3), Vec3::new(2.9, 2.7, 1.8)).unwrap(),
+        ];
+        for &ap in &aps {
+            let values = grid_of(ap).map_or(&[][..], |g| g.values());
+            for region in regions {
+                let mut stats = BoxStats::empty();
+                for (i, &v) in values.iter().enumerate() {
+                    if v.is_finite() && region.contains(layout.cell_center(i)) {
+                        stats.min = stats.min.min(v);
+                        stats.max = stats.max.max(v);
+                        stats.sum += v;
+                        stats.count += 1;
+                    }
+                }
+                queries.push(Query::BoxStats { region, ap });
+                want.push(Response::Stats(stats));
+            }
+            let threshold_dbm = -48.0;
+            let finite = values.iter().filter(|v| v.is_finite()).count();
+            let cells = values.iter().filter(|&&v| v >= threshold_dbm).count();
+            let fraction = if finite == 0 {
+                0.0
+            } else {
+                cells as f64 / finite as f64
+            };
+            queries.push(Query::Coverage { threshold_dbm, ap });
+            want.push(Response::Covered { cells, fraction });
+        }
+
+        let got = store.submit_batch(&queries, ExecPolicy::Serial).unwrap();
+        for ((q, got), want) in queries.iter().zip(&got).zip(&want) {
+            assert_eq!(got, want, "{q:?}");
+        }
+        assert!(want.iter().any(|r| matches!(r, Response::Value(Some(_)))));
+        assert!(want
+            .iter()
+            .any(|r| matches!(r, Response::Covered { cells, .. } if *cells > 0)));
     }
 
     #[test]

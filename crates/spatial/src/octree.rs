@@ -37,11 +37,18 @@ pub struct VoxelLayout {
 }
 
 impl VoxelLayout {
-    /// Creates a layout; `None` when any dimension is zero or the total
-    /// cell count overflows.
+    /// Creates a layout; `None` when any dimension is zero or exceeds
+    /// `i64::MAX` cells, or the total cell count overflows.
+    ///
+    /// No value array could fill an axis of more than `i64::MAX` cells (a
+    /// `Vec<f64>` holds at most `isize::MAX` bytes), and refusing one lets
+    /// [`VoxelLayout::cell_index_of`] convert through `i64`.
     pub fn new(volume: Aabb, dims: (usize, usize, usize)) -> Option<Self> {
         let (nx, ny, nz) = dims;
-        if nx == 0 || ny == 0 || nz == 0 {
+        if [nx, ny, nz]
+            .into_iter()
+            .any(|n| n == 0 || i64::try_from(n).is_err())
+        {
             return None;
         }
         nx.checked_mul(ny)?.checked_mul(nz)?;
@@ -70,6 +77,11 @@ impl VoxelLayout {
     /// `#[inline]`: the serving store calls this once per point query from
     /// another crate, and a release build without LTO keeps an unmarked
     /// cross-crate call out of line.
+    ///
+    /// Inside the volume `t · n` lies in `[0, n]` (or is NaN for an
+    /// infinite extent), and [`VoxelLayout::new`] keeps `n` within
+    /// `i64::MAX`, so the saturating `as i64` truncates exactly as `as
+    /// usize` would, in one conversion where `as usize` takes two.
     #[inline]
     pub fn cell_index_of(&self, p: Vec3) -> Option<usize> {
         if !self.volume.contains(p) {
@@ -78,7 +90,7 @@ impl VoxelLayout {
         let (nx, ny, nz) = self.dims;
         let lo = self.volume.min();
         let size = self.volume.size();
-        let clamp_idx = |t: f64, n: usize| ((t * n as f64) as usize).min(n - 1);
+        let clamp_idx = |t: f64, n: usize| ((t * n as f64) as i64 as usize).min(n - 1);
         let ix = clamp_idx((p.x - lo.x) / size.x, nx);
         let iy = clamp_idx((p.y - lo.y) / size.y, ny);
         let iz = clamp_idx((p.z - lo.z) / size.z, nz);
@@ -466,6 +478,7 @@ impl VoxelOctree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn layout_8x8x4() -> VoxelLayout {
         VoxelLayout::new(Aabb::paper_volume(), (8, 8, 4)).unwrap()
@@ -492,6 +505,100 @@ mod tests {
     fn layout_validates_dims() {
         assert!(VoxelLayout::new(Aabb::paper_volume(), (0, 2, 2)).is_none());
         assert!(VoxelLayout::new(Aabb::paper_volume(), (2, 2, 2)).is_some());
+    }
+
+    #[test]
+    fn layout_refuses_axes_past_i64_max() {
+        let past_i64 = (1usize << 63) + 1;
+        assert!(VoxelLayout::new(Aabb::paper_volume(), (1, past_i64, 1)).is_none());
+        assert!(VoxelLayout::new(Aabb::paper_volume(), (1, 1, i64::MAX as usize)).is_some());
+    }
+
+    /// The cell lookup written out with a saturating `as usize` per axis:
+    /// the oracle `cell_index_of` must match.
+    fn cell_index_oracle(layout: &VoxelLayout, p: Vec3) -> Option<usize> {
+        let volume = layout.volume();
+        if !volume.contains(p) {
+            return None;
+        }
+        let (nx, ny, nz) = layout.dims();
+        let (lo, size) = (volume.min(), volume.size());
+        let ix = (((p.x - lo.x) / size.x * nx as f64) as usize).min(nx - 1);
+        let iy = (((p.y - lo.y) / size.y * ny as f64) as usize).min(ny - 1);
+        let iz = (((p.z - lo.z) / size.z * nz as f64) as usize).min(nz - 1);
+        Some(iz * nx * ny + iy * nx + ix)
+    }
+
+    /// Probe points for `layout`: each of `fractions` of the volume (past
+    /// 0 and 1 lies outside); on every axis, both faces and each cell
+    /// boundary up to `max_boundaries`, exactly and one ulp either side;
+    /// and NaN on every axis.
+    fn probe_points(
+        layout: &VoxelLayout,
+        fractions: &[[f64; 3]],
+        max_boundaries: usize,
+    ) -> Vec<Vec3> {
+        let volume = layout.volume();
+        let (lo, hi) = (volume.min().to_array(), volume.max().to_array());
+        let (nx, ny, nz) = layout.dims();
+        let at =
+            |f: [f64; 3]| -> [f64; 3] { std::array::from_fn(|a| lo[a] + f[a] * (hi[a] - lo[a])) };
+        let mut out: Vec<Vec3> = fractions.iter().map(|&f| Vec3::from(at(f))).collect();
+        let base = at(fractions[0].map(|f| f.clamp(0.0, 1.0)));
+        for (axis, n) in [nx, ny, nz].into_iter().enumerate() {
+            let mut planes = vec![lo[axis], hi[axis], f64::NAN];
+            for k in 0..=n.min(max_boundaries) {
+                let b = lo[axis] + (hi[axis] - lo[axis]) * (k as f64 / n as f64);
+                planes.extend([b.next_down(), b, b.next_up()]);
+            }
+            planes.extend([hi[axis].next_down(), hi[axis].next_up()]);
+            for v in planes {
+                let mut p = base;
+                p[axis] = v;
+                out.push(Vec3::from(p));
+            }
+        }
+        out
+    }
+
+    /// A strategy for three coordinates, each drawn from `range`.
+    fn triple(range: std::ops::Range<f64>) -> impl Strategy<Value = [f64; 3]> {
+        (range.clone(), range.clone(), range).prop_map(|(x, y, z)| [x, y, z])
+    }
+
+    proptest! {
+        #[test]
+        fn cell_index_of_matches_the_as_usize_oracle(
+            min in triple(-50.0..50.0),
+            extent in triple(1e-3..100.0),
+            dims in (1usize..=64, 1usize..=64, 1usize..=64),
+            fractions in prop::collection::vec(triple(-0.25..1.25), 1..16),
+        ) {
+            let max = std::array::from_fn(|a| min[a] + extent[a]);
+            let volume = Aabb::new(Vec3::from(min), Vec3::from(max)).unwrap();
+            let layout = VoxelLayout::new(volume, dims).unwrap();
+            for p in probe_points(&layout, &fractions, 64) {
+                let want = cell_index_oracle(&layout, p);
+                prop_assert_eq!(layout.cell_index_of(p), want, "{} in {:?}", p, layout);
+            }
+        }
+
+        /// Axes too long for an f64 to count their cells exactly: 2^53 + 1
+        /// cells, and `i64::MAX`, the most `VoxelLayout::new` accepts.
+        #[test]
+        fn cell_index_of_matches_the_oracle_on_the_longest_axes(
+            axis in 0usize..3,
+            longest in 0usize..2,
+            fractions in prop::collection::vec(triple(-0.25..1.25), 1..16),
+        ) {
+            let mut dims = [2, 1, 1];
+            dims[axis] = [(1usize << 53) + 1, i64::MAX as usize][longest];
+            let layout = VoxelLayout::new(Aabb::paper_volume(), dims.into()).unwrap();
+            for p in probe_points(&layout, &fractions, 4) {
+                let want = cell_index_oracle(&layout, p);
+                prop_assert_eq!(layout.cell_index_of(p), want, "{} in {:?}", p, layout);
+            }
+        }
     }
 
     #[test]

@@ -46,9 +46,9 @@ perfbench-check:
 # Alternating pairs of end-to-end benchmark runs, PARENT against HEAD (or
 # PERFBENCH_CHANGE), each side built once from its own export; prints each
 # metric's medians, quartiles and pairs won. Not part of `check`: ten
-# 30 s pairs take about ten minutes. Example:
-#   just perfbench-pairs HEAD~1 wire_point 9100 10 30
-perfbench-pairs parent workload seed pairs seconds:
+# 30 s pairs, the defaults, take about ten minutes. Example:
+#   just perfbench-pairs HEAD~1 wire_point 9100
+perfbench-pairs parent workload seed pairs="10" seconds="30":
     ./scripts/perfbench_pairs "{{parent}}" "{{workload}}" "{{seed}}" "{{pairs}}" "{{seconds}}"
 
 # Smoke-sized run of the custom-harness benches: every bit-identity
